@@ -6,7 +6,6 @@ from .symplectic import (
     CheckResult,
     ComplexOperator,
     PhaseVector,
-    SymplecticForm,
     apply_j,
     complex_to_real,
     hermitian_product,
@@ -60,7 +59,6 @@ from .fieldlab import (
     FieldGrid,
     FieldState,
     KernelOperator,
-    build_hamiltonian,
     field_energy,
     field_pure_state,
     fourier_transform,

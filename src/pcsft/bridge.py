@@ -14,9 +14,11 @@ dispersion, equals trace(T(rho) T(f)) exactly; for variables with
 higher-order terms the mismatch vanishes linearly in the dispersion,
 which :func:`alpha_scan` measures.
 
-Monte Carlo estimates are computed in fixed-size chunks of the
-counter-based sample stream, so a given (seed, count) always produces
-the same estimate to the last bit.
+Monte Carlo estimates read the counter-based sample stream in fixed
+4096-row chunks (``variables.ROW_BLOCK``) and merge the chunks'
+(count, mean, M2) triples. A given (seed, count) therefore produces the
+same estimate to the last bit for a fixed BLAS library and thread
+count; the quadratic forms of the variables go through BLAS.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._csvio import write_csv
 from .dynamics import schrodinger_flow
 from .gaussian import (
     DensityOperator,
@@ -36,7 +39,7 @@ from .gaussian import (
     sample,
 )
 from .symplectic import CheckResult, ComplexOperator, real_to_complex
-from .variables import ClassicalVariable, screen_variable
+from .variables import ROW_BLOCK, ClassicalVariable, screen_variable
 
 __all__ = [
     "MonteCarloEstimate",
@@ -50,9 +53,6 @@ __all__ = [
     "check_linearity",
     "alpha_scan",
 ]
-
-_CHUNK = 65536
-
 
 class MonteCarloEstimate(NamedTuple):
     mean: float
@@ -120,6 +120,30 @@ def amplify(f: ClassicalVariable, alpha: float) -> ClassicalVariable:
     return f.scaled(1.0 / alpha)
 
 
+def _reduce(columns, rho: GaussianState, seed: int, count: int) -> list:
+    """Monte Carlo estimates of the columns of ``columns(pts)`` over the
+    first ``count`` rows of the sample stream of (rho, seed).
+
+    The stream is read in fixed ROW_BLOCK-row chunks; each chunk's
+    (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque 1979),
+    so the spread survives a mean far larger than it.
+    """
+    if count < 2:
+        raise ValueError("count must be at least 2")
+    done, mean, m2 = 0, 0.0, 0.0
+    while done < count:
+        m = min(ROW_BLOCK, count - done)
+        cols = columns(sample(rho, seed, m, start=done))
+        chunk_mean = cols.mean(axis=0)
+        delta = chunk_mean - mean
+        merged = done + m
+        mean = mean + delta * (m / merged)
+        m2 = m2 + ((cols - chunk_mean) ** 2).sum(axis=0) + delta**2 * (done * m / merged)
+        done = merged
+    stderrs = np.sqrt(m2 / (count - 1) / count)
+    return [MonteCarloEstimate(float(a), float(b), count) for a, b in zip(mean, stderrs)]
+
+
 def classical_average(
     f: ClassicalVariable, rho: GaussianState, seed: int, count: int
 ) -> MonteCarloEstimate:
@@ -128,20 +152,7 @@ def classical_average(
     Deterministic in (seed, count): samples come from the counter-based
     stream in fixed chunks, so reruns reproduce the estimate exactly.
     """
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        vals = f.values(sample(rho, seed, m, start=done))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += m
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
-    return MonteCarloEstimate(mean, float(np.sqrt(var / count)), count)
+    return _reduce(lambda pts: f.values(pts)[:, None], rho, seed, count)[0]
 
 
 def quantum_average(d: DensityOperator, a: ComplexOperator) -> float:
@@ -231,21 +242,17 @@ class CorrespondenceReport:
         return json.dumps(payload, indent=2)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["alpha", "classical_mean", "classical_stderr", "error", "error_stderr"]
-            )
-            for row in zip(
+        write_csv(
+            path,
+            ["alpha", "classical_mean", "classical_stderr", "error", "error_stderr"],
+            zip(
                 self.alphas,
                 self.classical_means,
                 self.classical_stderrs,
                 self.errors,
                 self.error_stderrs,
-            ):
-                writer.writerow([repr(float(x)) for x in row])
+            ),
+        )
 
 
 _CONVENTIONS = {
@@ -299,26 +306,16 @@ def alpha_scan(
         sub = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
         f_amp = amplify(f, alpha)
         q_amp = amplify(quad, alpha)
-        total = total_sq = diff_total = diff_total_sq = 0.0
-        done = 0
-        while done < count:
-            m = min(_CHUNK, count - done)
-            pts = sample(rho, sub, m, start=done)
+
+        def columns(pts):
             vals = f_amp.values(pts)
-            diffs = vals - q_amp.values(pts)
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            diff_total += float(np.sum(diffs))
-            diff_total_sq += float(np.sum(diffs * diffs))
-            done += m
-        mean = total / count
-        var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
-        dmean = diff_total / count
-        dvar = max(diff_total_sq / count - dmean * dmean, 0.0) * count / (count - 1)
-        classical_means.append(mean)
-        classical_stderrs.append(float(np.sqrt(var / count)))
-        errors.append(dmean)
-        error_stderrs.append(float(np.sqrt(dvar / count)))
+            return np.stack([vals, vals - q_amp.values(pts)], axis=1)
+
+        classical, error = _reduce(columns, rho, sub, count)
+        classical_means.append(classical.mean)
+        classical_stderrs.append(classical.stderr)
+        errors.append(error.mean)
+        error_stderrs.append(error.stderr)
 
     significant = [
         k for k in range(len(alphas)) if abs(errors[k]) > 3.0 * error_stderrs[k]

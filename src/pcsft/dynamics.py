@@ -18,7 +18,6 @@ act on (..., 2n) arrays of flattened phase points, while ``value`` /
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from ._csvio import write_csv
 from .symplectic import (
     DEFAULT_TOL,
     BlockOperator,
@@ -36,7 +36,7 @@ from .symplectic import (
     is_j_commuting,
     real_to_complex,
 )
-from .variables import ClassicalVariable
+from .variables import ClassicalVariable, _quadratic_forms
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -104,7 +104,7 @@ class QuadraticHamiltonian:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", pts, self.operator.matrix, pts)
+        return 0.5 * _quadratic_forms(pts, self.operator.matrix)
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -276,12 +276,11 @@ class Trajectory:
             + [f"p_{i}" for i in range(n)]
             + ["energy", "norm"]
         )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(len(self.times)):
-                row = [self.times[k], *self.states[k], self.energies[k], self.norms[k]]
-                writer.writerow([repr(float(x)) for x in row])
+        rows = (
+            [self.times[k], *self.states[k], self.energies[k], self.norms[k]]
+            for k in range(len(self.times))
+        )
+        write_csv(path, header, rows)
 
 
 def integrate(

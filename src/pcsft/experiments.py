@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bridge, dynamics, fieldlab, gaussian, symplectic, variables
+from ._csvio import write_csv
 
 __all__ = [
     "ConfigError",
@@ -102,22 +103,14 @@ class ReportRecord:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "value", "stderr", "tolerance", "comparison", "passed"])
-            for m in self.metrics:
-                writer.writerow(
-                    [
-                        m.name,
-                        repr(float(m.value)),
-                        "" if m.stderr is None else repr(float(m.stderr)),
-                        repr(float(m.tolerance)),
-                        m.comparison,
-                        str(m.passed).lower(),
-                    ]
-                )
+        write_csv(
+            path,
+            ["name", "value", "stderr", "tolerance", "comparison", "passed"],
+            (
+                [m.name, m.value, m.stderr, m.tolerance, m.comparison, str(m.passed).lower()]
+                for m in self.metrics
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -19,23 +19,23 @@ Sign and normalisation conventions:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bridge import MonteCarloEstimate
-from .gaussian import GaussianState, pure_state_measure, sample
-from .symplectic import ComplexOperator
+from ._csvio import write_csv
+from .bridge import MonteCarloEstimate, classical_average
+from .gaussian import GaussianState, pure_state_measure
+from .symplectic import ComplexOperator, complex_to_real
+from .variables import ClassicalVariable
 
 __all__ = [
     "FieldGrid",
     "FieldState",
     "KernelOperator",
     "laplacian_matrix",
-    "build_hamiltonian",
     "hamiltonian_kernel",
     "plane_wave",
     "gaussian_packet",
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _BOUNDARIES = ("periodic", "dirichlet")
-_CHUNK = 8192  # fixed MC chunk; bounds memory at ~16 MB per array for N=128
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,8 @@ class FieldState:
 
     def to_csv(self, path) -> None:
         """Columns x, re, im, abs2, one row per grid point (repr floats)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re", "im", "abs2"])
-            for xj, vj in zip(self.grid.x, self.values):
-                writer.writerow(
-                    [
-                        repr(float(xj)),
-                        repr(float(vj.real)),
-                        repr(float(vj.imag)),
-                        repr(float(abs(vj) ** 2)),
-                    ]
-                )
+        rows = ([xj, vj.real, vj.imag, abs(vj) ** 2] for xj, vj in zip(self.grid.x, self.values))
+        write_csv(path, ["x", "re", "im", "abs2"], rows)
 
 
 def laplacian_matrix(grid: FieldGrid) -> np.ndarray:
@@ -154,7 +143,6 @@ class KernelOperator:
 
     grid: FieldGrid
     matrix: np.ndarray
-    kind: str = "dense"
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -175,7 +163,7 @@ class KernelOperator:
         """Kinetic kernel -Laplacian / (2 mass)."""
         if mass <= 0:
             raise ValueError("mass must be positive")
-        return cls(grid, -laplacian_matrix(grid) / (2.0 * mass), kind="mass")
+        return cls(grid, -laplacian_matrix(grid) / (2.0 * mass))
 
     @classmethod
     def potential(cls, grid: FieldGrid, v) -> "KernelOperator":
@@ -183,11 +171,11 @@ class KernelOperator:
         values = np.asarray(v(grid.x) if callable(v) else v, dtype=float)
         if values.shape != (grid.n_points,):
             raise ValueError("potential must produce one value per grid point")
-        return cls(grid, np.diag(values), kind="potential")
+        return cls(grid, np.diag(values))
 
     @classmethod
     def dense(cls, grid: FieldGrid, matrix) -> "KernelOperator":
-        return cls(grid, matrix, kind="dense")
+        return cls(grid, matrix)
 
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
         if other.grid != self.grid:
@@ -212,11 +200,6 @@ def hamiltonian_kernel(grid: FieldGrid, mass: float, v) -> KernelOperator:
     return KernelOperator.mass(grid, mass) + KernelOperator.potential(grid, v)
 
 
-def build_hamiltonian(grid: FieldGrid, mass: float, v) -> ComplexOperator:
-    """Same kernel viewed as a hermitian complex operator."""
-    return hamiltonian_kernel(grid, mass, v).as_complex_operator()
-
-
 def plane_wave(grid: FieldGrid, k0: float, amplitude: float = 1.0) -> FieldState:
     return FieldState(grid, amplitude * np.exp(1j * k0 * grid.x))
 
@@ -236,20 +219,19 @@ def gaussian_packet(
 
 
 def _coerce_kernel(r, grid: FieldGrid) -> np.ndarray:
-    if isinstance(r, KernelOperator):
-        if r.grid != grid:
-            raise ValueError("kernel grid does not match the field grid")
-        return r.matrix
-    if isinstance(r, ComplexOperator):
-        mat = r.matrix
-    else:
-        mat = np.asarray(r)
-    if mat.shape != (grid.n_points, grid.n_points):
-        raise ValueError("kernel shape does not match the grid")
-    if np.max(np.abs(mat - np.asarray(mat).conj().T)) > 1e-10 * max(
-        1.0, float(np.max(np.abs(mat)))
-    ):
-        raise ValueError("kernel must be hermitian")
+    if isinstance(r, KernelOperator) and r.grid != grid:
+        raise ValueError("kernel grid does not match the field grid")
+    return _kernel_matrix(r, grid.n_points)
+
+
+def _kernel_matrix(r, n: int) -> np.ndarray:
+    """n x n matrix of a kernel, checked hermitian relative to its scale."""
+    mat = r.matrix if isinstance(r, (KernelOperator, ComplexOperator)) else np.asarray(r)
+    if mat.shape != (n, n):
+        raise ValueError(f"kernel must be {n} x {n}, got {mat.shape}")
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
+        raise ValueError(f"kernel must be hermitian (defect {defect:.3e})")
     return mat
 
 
@@ -327,31 +309,12 @@ def gaussian_field_average(
 
     The rows of the sample stream are Euclidean (q || p) coordinates;
     each contributes (1/2) Re <R c, c> for c = q + ip, which equals
-    field_energy of the corresponding field configuration. Deterministic
-    in (seed, count) through fixed chunking.
+    field_energy of the corresponding field configuration. This is
+    :func:`pcsft.bridge.classical_average` of the energy variable of the
+    real form of R; R must be hermitian relative to its scale.
     """
-    if isinstance(r, KernelOperator):
-        mat = r.matrix
-        n = r.grid.n_points
-    else:
-        mat = np.asarray(r)
-        n = mat.shape[0]
-    if rho.n != n:
-        raise ValueError(
-            f"state dimension n={rho.n} does not match kernel size {n}"
-        )
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    total = total_sq = 0.0
-    done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        pts = sample(rho, seed, m, start=done)
-        c = pts[:, :n] + 1j * pts[:, n:]
-        vals = 0.5 * np.real(np.einsum("ki,ij,kj->k", c.conj(), mat, c))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += m
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0) * count / (count - 1)
-    return MonteCarloEstimate(mean, float(np.sqrt(var / count)), count)
+    mat = _kernel_matrix(r, rho.n)
+    # symmetrised exactly, so the variable's symmetry check holds at any scale
+    op = ComplexOperator((mat + mat.conj().T) / 2.0)
+    energy = ClassicalVariable.quadratic(complex_to_real(op), 0.5)
+    return classical_average(energy, rho, seed, count)

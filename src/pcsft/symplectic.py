@@ -31,7 +31,6 @@ __all__ = [
     "PhaseVector",
     "BlockOperator",
     "ComplexOperator",
-    "SymplecticForm",
     "j_matrix",
     "apply_j",
     "j_commutation_defect",
@@ -352,22 +351,6 @@ def hermitian_product(psi1: PhaseVector, psi2: PhaseVector) -> complex:
         raise ValueError("dimension mismatch between phase vectors")
     real_part = float(psi1.q @ psi2.q + psi1.p @ psi2.p)
     return complex(real_part, -symplectic_form(psi1, psi2))
-
-
-@dataclass(frozen=True)
-class SymplecticForm:
-    """Callable wrapper for the symplectic form at fixed dimension n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def __call__(self, psi1: PhaseVector, psi2: PhaseVector) -> float:
-        if psi1.n != self.n or psi2.n != self.n:
-            raise ValueError(f"expected phase vectors of dimension n={self.n}")
-        return symplectic_form(psi1, psi2)
 
 
 def real_to_complex(a: BlockOperator, tol: float = DEFAULT_TOL) -> ComplexOperator:

@@ -34,6 +34,20 @@ from .symplectic import (
 
 __all__ = ["QuadraticTerm", "ClassicalVariable", "screen_variable"]
 
+# rows per block of every batched form and Monte Carlo chunk; a fixed
+# block keeps BLAS results reproducible and bounds temporary memory
+ROW_BLOCK = 4096
+
+
+def _quadratic_forms(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-wise (A psi, psi) over a (..., 2n) batch, in ROW_BLOCK blocks."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    out = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], ROW_BLOCK):
+        blk = flat[start : start + ROW_BLOCK]
+        out[start : start + ROW_BLOCK] = np.einsum("ij,ij->i", blk @ a, blk)
+    return out.reshape(pts.shape[:-1])
+
 
 @dataclass(frozen=True)
 class QuadraticTerm:
@@ -139,8 +153,11 @@ class ClassicalVariable:
         pts = self._check_batch(pts)
         if self._terms is not None:
             out = np.zeros(pts.shape[:-1])
+            forms = {}  # polynomial terms share their operator
             for t in self._terms:
-                form = np.einsum("...i,ij,...j->...", pts, t.operator.matrix, pts)
+                form = forms.get(id(t.operator))
+                if form is None:
+                    form = forms[id(t.operator)] = _quadratic_forms(pts, t.operator.matrix)
                 out += t.coefficient * form**t.power
             return out
         return np.asarray(self._value_fn(pts), dtype=float)

@@ -32,6 +32,7 @@ from pcsft.gaussian import (
     pure_state_measure,
     pushforward,
     quadratic_average,
+    sample,
 )
 from pcsft.symplectic import BlockOperator, ComplexOperator, real_to_complex
 from pcsft.variables import ClassicalVariable
@@ -171,6 +172,18 @@ def test_classical_average_is_deterministic():
     assert a.mean != c.mean
     with pytest.raises(ValueError):
         classical_average(f, rho, seed=7, count=1)
+
+
+@pytest.mark.parametrize("count", [2, 4095, 4097, 70_000])  # around a 4096-row chunk
+def test_classical_average_stderr_survives_large_mean(count):
+    # mean 1e8, spread 1e-3: E[x^2] - E[x]^2 cancels to nothing here
+    f = ClassicalVariable.from_callbacks(lambda pts: 1e8 + 1e-3 * pts[..., 0], n=1)
+    rho = GaussianState.isotropic(1, 2.0)
+    est = classical_average(f, rho, seed=9, count=count)
+    vals = f.values(sample(rho, 9, count))
+    expected = float(np.std(vals, ddof=1)) / np.sqrt(count)
+    assert est.stderr == pytest.approx(expected, rel=1e-6)
+    assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-15)
 
 
 def test_quantum_average_basics():

@@ -181,6 +181,11 @@ def test_energy_conservation():
     psi0 = PhaseVector.from_flat(rng.standard_normal(4))
     traj = integrate(h, psi0, 2.0, 0.01)
     assert np.max(np.abs(traj.energies - traj.energies[0])) <= 1e-10
+    # the Hamiltonian and its energy variable evaluate the same form
+    pts = rng.standard_normal((3, 1500, 4))  # 4500 rows span two row blocks
+    np.testing.assert_array_equal(
+        h.values(pts), ClassicalVariable.quadratic(h.operator).values(pts)
+    )
 
     # nonquadratic with two non-commuting forms: neither form stays a
     # discrete invariant, so the midpoint rule leaves an O(dt^2) energy

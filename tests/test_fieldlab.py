@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pcsft.bridge import classical_average
 from pcsft.fieldlab import (
     FieldGrid,
     FieldState,
     KernelOperator,
-    build_hamiltonian,
     field_energy,
     field_pure_state,
     fourier_transform,
@@ -35,7 +35,8 @@ from pcsft.fieldlab import (
     quartic_field_energy,
 )
 from pcsft.gaussian import GaussianState, is_j_invariant, quadratic_average, sample
-from pcsft.symplectic import ComplexOperator
+from pcsft.symplectic import ComplexOperator, complex_to_real
+from pcsft.variables import ClassicalVariable
 
 
 def periodic_grid(n=32, length=2 * np.pi):
@@ -112,11 +113,6 @@ def test_kernel_construction_and_validation():
     combined = hamiltonian_kernel(g, 1.0, lambda x: x**2 / 2)
     np.testing.assert_allclose(
         combined.matrix, KernelOperator.mass(g, 1.0).matrix + pot.matrix, atol=1e-14
-    )
-    np.testing.assert_allclose(
-        build_hamiltonian(g, 1.0, lambda x: x**2 / 2).matrix,
-        combined.matrix.astype(complex),
-        atol=0,
     )
     with pytest.raises(ValueError):
         KernelOperator.mass(g, 0.0)
@@ -319,10 +315,19 @@ def test_gaussian_field_average_determinism_and_validation():
     a = gaussian_field_average(kernel, rho, seed=25, count=10_000)
     b = gaussian_field_average(kernel, rho, seed=25, count=10_000)
     assert a == b
+    energy = ClassicalVariable.quadratic(complex_to_real(ComplexOperator(kernel.matrix)), 0.5)
+    assert a == classical_average(energy, rho, seed=25, count=10_000)
     with pytest.raises(ValueError):
         gaussian_field_average(kernel, GaussianState.isotropic(4, 1.0), seed=0, count=10)
     with pytest.raises(ValueError):
         gaussian_field_average(kernel, rho, seed=0, count=1)
+    with pytest.raises(ValueError):  # non-hermitian array kernel
+        gaussian_field_average(np.triu(np.ones((8, 8))), rho, seed=0, count=10)
+    # round-off asymmetry far below the kernel's scale is accepted
+    big = 1e7 * kernel.matrix
+    big[0, 1] += 1e-6
+    scaled = gaussian_field_average(big, rho, seed=25, count=10_000)
+    assert scaled.mean == pytest.approx(1e7 * a.mean, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from pcsft.symplectic import (
     BlockOperator,
     ComplexOperator,
     PhaseVector,
-    SymplecticForm,
     apply_j,
     complex_to_real,
     hermitian_product,
@@ -195,16 +194,8 @@ def test_symplectic_form_via_j():
         psi2 = PhaseVector.from_flat(rng.standard_normal(6))
         oracle = float(psi1.flat() @ apply_j(psi2).flat())
         assert symplectic_form(psi1, psi2) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_symplectic_form_object_checks_dimension():
-    w = SymplecticForm(2)
-    psi = PhaseVector([1.0, 0.0], [0.0, 0.0])
-    assert w(psi, psi) == 0.0
     with pytest.raises(ValueError):
-        w(PhaseVector([1.0], [0.0]), PhaseVector([1.0], [0.0]))
-    with pytest.raises(ValueError):
-        symplectic_form(PhaseVector([1.0], [0.0]), psi)
+        symplectic_form(PhaseVector([1.0], [0.0]), PhaseVector([1.0, 0.0], [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,10 @@ def test_batch_values_match_single_evaluation():
         psi = PhaseVector.from_flat(pts[k])
         assert vals[k] == pytest.approx(f.value(psi), rel=1e-12)
         np.testing.assert_allclose(grads[k], f.gradient(psi).flat(), rtol=1e-12)
+    # blocked forms against a direct per-row reference, across row blocks
+    big = rng.standard_normal((2, 2500, 4))
+    form = np.einsum("...i,ij,...j->...", big, a.matrix, big)
+    np.testing.assert_allclose(f.values(big), form - 0.25 * form**3, rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
