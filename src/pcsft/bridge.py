@@ -38,7 +38,7 @@ from .gaussian import (
     dispersion,
     sample,
 )
-from .symplectic import CheckResult, ComplexOperator, real_to_complex
+from .symplectic import FD_TOL, CheckResult, ComplexOperator, real_to_complex
 from .variables import ROW_BLOCK, ClassicalVariable, screen_variable
 
 __all__ = [
@@ -60,31 +60,27 @@ class MonteCarloEstimate(NamedTuple):
     count: int
 
 
-def project_state(
-    rho: GaussianState, alpha: Optional[float] = None, tol: float = 1e-9
-) -> DensityOperator:
+def project_state(rho: GaussianState, alpha: Optional[float] = None) -> DensityOperator:
     """Density operator of a Gaussian state: complex covariance over
     dispersion.
 
-    When ``alpha`` is given, the state's dispersion must match it within
-    ``tol`` (relative to max(alpha, 1)). Normalisation always uses the
-    measured dispersion, so the result has unit trace to round-off. The
-    map is defined for every state but is lossy outside the J-invariant
-    class.
+    When ``alpha`` is given, the state's dispersion must match it to
+    round-off (``DEFAULT_TOL`` relative to alpha). Normalisation always
+    uses the measured dispersion, so the result has unit trace to
+    round-off. The map is defined for every state but is lossy outside
+    the J-invariant class.
     """
     disp = dispersion(rho)
     if disp <= 0:
         raise ValueError("projection needs positive dispersion")
-    if alpha is not None and abs(disp - alpha) > tol * max(abs(alpha), 1.0):
+    if alpha is not None and not CheckResult.within(abs(disp - alpha), abs(alpha)):
         raise ValueError(
             f"state dispersion {disp} does not match declared alpha {alpha}"
         )
     return DensityOperator(complex_covariance(rho).matrix / disp)
 
 
-def project_variable(
-    f: ClassicalVariable, tol: float = 1e-8, validate: bool = True
-) -> ComplexOperator:
+def project_variable(f: ClassicalVariable, validate: bool = True) -> ComplexOperator:
     """Operator image of a projectable variable: complex form of half the
     Hessian at the origin.
 
@@ -92,20 +88,21 @@ def project_variable(
     Black boxes are screened on random probes (vanishing at the origin,
     evenness, J-invariance) when ``validate`` is true; screening is
     evidence, not proof, and a failed predicate raises ValueError. In
-    all cases the Hessian itself must commute with J within ``tol``.
+    all cases the Hessian itself must be symmetric and commute with J
+    within ``FD_TOL`` relative to its largest entry.
     """
     if validate and not f.is_structured:
-        verdicts = screen_variable(f, tol=max(tol, 1e-8))
+        verdicts = screen_variable(f)
         failed = sorted(name for name, check in verdicts.items() if not check)
         if failed:
             raise ValueError(
                 f"variable fails projectable-class screening: {', '.join(failed)}"
             )
     hess = f.hessian_at_zero()
-    sym_defect = hess.symmetry_defect()
-    if sym_defect > tol:
-        raise ValueError(f"Hessian at origin not symmetric (defect {sym_defect:.3e})")
-    return real_to_complex(hess, tol=tol) * 0.5
+    check = hess.is_symmetric(FD_TOL)
+    if not check:
+        raise ValueError(f"Hessian at origin not symmetric (defect {check.defect:.3e})")
+    return real_to_complex(hess, tol=FD_TOL) * 0.5
 
 
 def amplify(f: ClassicalVariable, alpha: float) -> ClassicalVariable:
@@ -157,7 +154,7 @@ def classical_average(
 
 def quantum_average(d: DensityOperator, a: ComplexOperator) -> float:
     """trace(D A) for a hermitian operator A; real by construction."""
-    check = a.is_hermitian(1e-8)
+    check = a.is_hermitian(FD_TOL)
     if not check:
         raise ValueError(f"operator must be hermitian (defect {check.defect:.3e})")
     if d.n != a.n:
@@ -175,11 +172,10 @@ def von_neumann_evolve(d: DensityOperator, m: ComplexOperator, t: float) -> Dens
 
 
 def check_linearity(
-    variables: Sequence[ClassicalVariable],
-    weights: Sequence[float],
-    tol: float = 1e-8,
+    variables: Sequence[ClassicalVariable], weights: Sequence[float]
 ) -> CheckResult:
-    """Spectral-norm defect of T(sum w_i f_i) - sum w_i T(f_i)."""
+    """Spectral-norm defect of T(sum w_i f_i) - sum w_i T(f_i), checked
+    against ``FD_TOL`` relative to the norm of the sum."""
     if len(variables) != len(weights) or not variables:
         raise ValueError("need equally many variables and weights, at least one")
     combo = variables[0].scaled(float(weights[0]))
@@ -191,8 +187,7 @@ def check_linearity(
         for f, w in zip(variables, weights)
     )
     defect = float(np.linalg.norm(left - right, 2))
-    scale = 1.0 + float(np.linalg.norm(right, 2))
-    return CheckResult(defect <= tol * scale, defect)
+    return CheckResult.within(defect, float(np.linalg.norm(right, 2)), FD_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ import scipy.linalg
 
 from ._csvio import write_csv
 from .symplectic import (
-    DEFAULT_TOL,
     BlockOperator,
     CheckResult,
     ComplexOperator,
@@ -55,15 +54,20 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Implicit midpoint fixed point failed to converge."""
+    """Implicit midpoint fixed point failed to converge.
 
-    def __init__(self, step: int, residual: float):
+    ``rows`` lists the batch rows that failed, or is None when unknown.
+    """
+
+    def __init__(self, step: int, residual: float, rows: Optional[list] = None):
+        where = "" if rows is None else f" in rows {rows}"
         super().__init__(
-            f"fixed-point iteration did not converge at step {step} "
+            f"fixed-point iteration did not converge at step {step}{where} "
             f"(residual {residual:.3e}); reduce dt"
         )
         self.step = step
         self.residual = residual
+        self.rows = rows
 
 
 def _apply_j_flat(g: np.ndarray) -> np.ndarray:
@@ -79,7 +83,7 @@ class QuadraticHamiltonian:
     operator: BlockOperator
 
     def __post_init__(self):
-        if not self.operator.is_symmetric(DEFAULT_TOL):
+        if not self.operator.is_symmetric():
             raise ValueError(
                 f"Hamiltonian kernel must be symmetric "
                 f"(defect {self.operator.symmetry_defect():.3e})"
@@ -95,7 +99,7 @@ class QuadraticHamiltonian:
 
     @cached_property
     def j_invariant(self) -> CheckResult:
-        return is_j_commuting(self.operator, DEFAULT_TOL)
+        return is_j_commuting(self.operator)
 
     @cached_property
     def _complex_eigensystem(self):
@@ -228,7 +232,7 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
 
 def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
     """Unitary exp(-iMt) of a hermitian complex operator."""
-    check = m.is_hermitian(DEFAULT_TOL)
+    check = m.is_hermitian()
     if not check:
         raise ValueError(f"operator must be hermitian (defect {check.defect:.3e})")
     w, v = np.linalg.eigh(m.matrix)
@@ -302,7 +306,8 @@ def integrate(
     t_final / steps and the trajectory lands exactly on t_final. Each
     step solves x = y + dt * J grad H((y + x)/2) by fixed-point
     iteration to ``tol`` (relative to the state scale), raising
-    :class:`IntegrationError` after ``max_iter`` sweeps.
+    :class:`IntegrationError` after ``max_iter`` sweeps, or at once when
+    a row turns non-finite; the error names the rows that failed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -343,13 +348,17 @@ def _midpoint_step(h, y, dt, tol, max_iter, step_index):
         x = y + dt * _apply_j_flat(h.gradients(y))  # Euler predictor
         for _ in range(max_iter):
             x_next = y + dt * _apply_j_flat(h.gradients((y + x) / 2.0))
-            residual = float(np.max(np.abs(x_next - x)))
+            change = np.abs(x_next - x)
+            residual = float(np.max(change))
             x = x_next
             if not np.isfinite(residual):
-                raise IntegrationError(step_index, residual)
+                break
             if residual <= tol * scale:
                 return x
-    raise IntegrationError(step_index, residual)
+    # a row that blew up stops the sweeps, and then it alone is named
+    row_residuals = change.max(axis=-1)
+    failed = row_residuals > tol * scale if np.isfinite(residual) else ~np.isfinite(row_residuals)
+    raise IntegrationError(step_index, residual, np.flatnonzero(failed).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from ._csvio import write_csv
 from .bridge import MonteCarloEstimate, classical_average
 from .gaussian import GaussianState, pure_state_measure
-from .symplectic import ComplexOperator, complex_to_real
+from .symplectic import CheckResult, ComplexOperator, complex_to_real
 from .variables import ClassicalVariable
 
 __all__ = [
@@ -146,14 +146,9 @@ class KernelOperator:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        n = self.grid.n_points
-        if m.shape != (n, n):
-            raise ValueError(f"kernel must be {n} x {n}, got {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("kernel entries must be finite")
-        defect = float(np.max(np.abs(m - m.T)))
-        if defect > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError(f"kernel must be symmetric (defect {defect:.3e})")
+        m = _kernel_matrix(m, self.grid.n_points)
         m = (m + m.T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -230,7 +225,7 @@ def _kernel_matrix(r, n: int) -> np.ndarray:
     if mat.shape != (n, n):
         raise ValueError(f"kernel must be {n} x {n}, got {mat.shape}")
     defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(mat)))):
+    if not CheckResult.within(defect, float(np.max(np.abs(mat)))):
         raise ValueError(f"kernel must be hermitian (defect {defect:.3e})")
     return mat
 
@@ -313,8 +308,6 @@ def gaussian_field_average(
     :func:`pcsft.bridge.classical_average` of the energy variable of the
     real form of R; R must be hermitian relative to its scale.
     """
-    mat = _kernel_matrix(r, rho.n)
-    # symmetrised exactly, so the variable's symmetry check holds at any scale
-    op = ComplexOperator((mat + mat.conj().T) / 2.0)
+    op = ComplexOperator(_kernel_matrix(r, rho.n))
     energy = ClassicalVariable.quadratic(complex_to_real(op), 0.5)
     return classical_average(energy, rho, seed, count)

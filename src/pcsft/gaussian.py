@@ -23,13 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
 
 from .symplectic import (
-    DEFAULT_TOL,
     BlockOperator,
     CheckResult,
     ComplexOperator,
@@ -51,20 +49,18 @@ __all__ = [
     "sample",
 ]
 
-# validation gates for state construction
-_SYMMETRY_TOL = 1e-12
-_EIGEN_TOL = 1e-12
-_TRACE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GaussianState:
     """Zero-mean Gaussian measure with real covariance ``covariance``.
 
-    The matrix must be symmetric within 1e-12 (relative to its largest
-    entry) and positive semidefinite up to an eigenvalue slack of
-    -1e-12 * max(trace, 1). Rank-deficient covariances are allowed; they
-    describe measures supported on a subspace.
+    The matrix must be symmetric within ``DEFAULT_TOL`` relative to its
+    largest entry, and positive semidefinite within ``DEFAULT_TOL``
+    relative to its largest |eigenvalue| (see
+    :meth:`pcsft.symplectic.CheckResult.within`). Rank-deficient
+    covariances are allowed; they describe measures supported on a
+    subspace. The ``eigh`` that checks positivity is kept for sampling,
+    so a state is decomposed once.
     """
 
     covariance: np.ndarray
@@ -77,17 +73,16 @@ class GaussianState:
             raise ValueError("covariance must be 2n x 2n with n >= 1")
         if not np.isfinite(b).all():
             raise ValueError("covariance entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(b))))
         sym_defect = float(np.max(np.abs(b - b.T)))
-        if sym_defect > _SYMMETRY_TOL * scale:
+        if not CheckResult.within(sym_defect, float(np.max(np.abs(b)))):
             raise ValueError(f"covariance not symmetric (defect {sym_defect:.3e})")
         b = (b + b.T) / 2.0  # remove round-off asymmetry before storing
-        trace = float(np.trace(b))
-        min_eig = float(np.linalg.eigvalsh(b)[0])
-        if min_eig < -_EIGEN_TOL * max(trace, 1.0):
-            raise ValueError(f"covariance not positive semidefinite (min eig {min_eig:.3e})")
+        w, v = np.linalg.eigh(b)
+        if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
+            raise ValueError(f"covariance not positive semidefinite (min eig {w[0]:.3e})")
         b.setflags(write=False)
         object.__setattr__(self, "covariance", b)
+        object.__setattr__(self, "_eigensystem", (w, v))  # used by sampling
 
     @property
     def n(self) -> int:
@@ -104,12 +99,6 @@ class GaussianState:
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         return cls(np.eye(2 * n) * (alpha / (2 * n)))
-
-    @cached_property
-    def _eigensystem(self):
-        # cached once per state; used by sampling
-        w, v = np.linalg.eigh(self.covariance)
-        return w, v
 
     def to_json(self) -> str:
         payload = {
@@ -129,7 +118,7 @@ class GaussianState:
         if state.n != payload["n"]:
             raise ValueError(f"declared n={payload['n']} does not match covariance shape")
         declared = float(payload["alpha"])
-        if abs(declared - state.alpha) > _TRACE_TOL * max(1.0, abs(declared)):
+        if not CheckResult.within(abs(declared - state.alpha), abs(declared)):
             raise ValueError(
                 f"declared alpha={declared} does not match covariance trace {state.alpha}"
             )
@@ -149,13 +138,14 @@ class DensityOperator:
         if not np.isfinite(m).all():
             raise ValueError("density operator entries must be finite")
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > _TRACE_TOL:
+        if not CheckResult.within(herm, float(np.max(np.abs(m)))):
             raise ValueError(f"density operator not hermitian (defect {herm:.3e})")
         m = (m + m.conj().T) / 2.0
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not CheckResult.within(abs(tr - 1.0), 1.0):
             raise ValueError(f"density operator trace {tr} is not 1")
-        if float(np.linalg.eigvalsh(m)[0]) < -_TRACE_TOL:
+        w = np.linalg.eigvalsh(m)
+        if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
             raise ValueError("density operator not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -168,7 +158,7 @@ class DensityOperator:
     def pure(cls, psi) -> "DensityOperator":
         psi = np.asarray(psi, dtype=complex)
         nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > 1e-10:
+        if not CheckResult.within(abs(nrm - 1.0), 1.0):
             raise ValueError(f"pure state vector must be normalised, got norm {nrm}")
         return cls(np.outer(psi, psi.conj()))
 
@@ -188,9 +178,9 @@ def dispersion(rho: GaussianState) -> float:
     return rho.alpha
 
 
-def is_j_invariant(rho: GaussianState, tol: float = DEFAULT_TOL) -> CheckResult:
+def is_j_invariant(rho: GaussianState) -> CheckResult:
     """A Gaussian measure is J-invariant iff its covariance commutes with J."""
-    return is_j_commuting(BlockOperator(rho.covariance), tol)
+    return is_j_commuting(BlockOperator(rho.covariance))
 
 
 def complex_covariance(rho: GaussianState) -> ComplexOperator:
@@ -206,18 +196,16 @@ def complex_covariance(rho: GaussianState) -> ComplexOperator:
     return ComplexOperator(d - 1j * s)
 
 
-def from_complex_covariance(m, tol: float = DEFAULT_TOL) -> GaussianState:
+def from_complex_covariance(m) -> GaussianState:
     """J-invariant Gaussian state with prescribed complex covariance.
 
     Inverts :func:`complex_covariance` on J-invariant states:
     B11 = B22 = Re(M)/2 and B12 = -B21 = -Im(M)/2. The input must be
-    hermitian PSD for the result to be a valid covariance.
+    hermitian PSD: the real form of M is symmetric exactly when M is
+    hermitian, so :class:`GaussianState` rejects any other input.
     """
     if not isinstance(m, ComplexOperator):
         m = ComplexOperator(np.asarray(m, dtype=complex))
-    herm = m.hermiticity_defect()
-    if herm > tol:
-        raise ValueError(f"complex covariance must be hermitian (defect {herm:.3e})")
     return GaussianState(complex_to_real(m).matrix / 2.0)
 
 
@@ -238,7 +226,7 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
             raise ValueError("psi must be a one-dimensional vector")
         u, v = z.real, z.imag
     nrm = math.sqrt(float(u @ u + v @ v))
-    if abs(nrm - 1.0) > 1e-10:
+    if not CheckResult.within(abs(nrm - 1.0), 1.0):
         raise ValueError(f"psi must be normalised, got norm {nrm}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -266,7 +254,7 @@ def quadratic_average(rho: GaussianState, a) -> float:
     if isinstance(a, BlockOperator):
         if a.n != rho.n:
             raise ValueError("dimension mismatch between state and operator")
-        if not a.is_symmetric(DEFAULT_TOL):
+        if not a.is_symmetric():
             raise ValueError("block operator must be symmetric")
         from .symplectic import real_to_complex
 
@@ -274,13 +262,13 @@ def quadratic_average(rho: GaussianState, a) -> float:
     elif isinstance(a, ComplexOperator):
         if a.n != rho.n:
             raise ValueError("dimension mismatch between state and operator")
-        if not a.is_hermitian(DEFAULT_TOL):
+        if not a.is_hermitian():
             raise ValueError("complex operator must be hermitian")
         m_a = a
     else:
         raise TypeError("expected BlockOperator or ComplexOperator")
     value = complex(np.trace(complex_covariance(rho).matrix @ m_a.matrix))
-    if abs(value.imag) > 1e-10 * (1.0 + abs(value)):
+    if not CheckResult.within(abs(value.imag), abs(value)):
         raise ValueError(f"trace average unexpectedly non-real: {value}")
     return value.real
 

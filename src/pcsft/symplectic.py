@@ -27,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "FD_TOL",
     "CheckResult",
     "PhaseVector",
     "BlockOperator",
@@ -42,7 +43,11 @@ __all__ = [
     "poisson_bracket",
 ]
 
+# Every structural check in the package goes through CheckResult.within,
+# relative to the operator's scale. DEFAULT_TOL bounds round-off; FD_TOL
+# bounds finite-difference error (Hessians at the origin, probe screens).
 DEFAULT_TOL = 1e-10
+FD_TOL = 1e-8
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
@@ -65,6 +70,16 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @classmethod
+    def within(cls, defect: float, scale: float, tol: float = DEFAULT_TOL) -> "CheckResult":
+        """Verdict of ``defect <= tol * max(1, scale)``.
+
+        ``scale`` is the size of what is checked: an operator's largest
+        entry, its largest |eigenvalue| for a PSD check, or the target
+        value. Relative above scale 1, absolute below; NaN fails.
+        """
+        return cls(defect <= tol * max(1.0, scale), defect)
 
 
 @dataclass(frozen=True)
@@ -218,8 +233,8 @@ class BlockOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
     def is_symmetric(self, tol: float = DEFAULT_TOL) -> CheckResult:
-        d = self.symmetry_defect()
-        return CheckResult(d <= tol, d)
+        scale = float(np.max(np.abs(self.matrix)))
+        return CheckResult.within(self.symmetry_defect(), scale, tol)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if other.n != self.n:
@@ -278,8 +293,8 @@ class ComplexOperator:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> CheckResult:
-        d = self.hermiticity_defect()
-        return CheckResult(d <= tol, d)
+        scale = float(np.max(np.abs(self.matrix)))
+        return CheckResult.within(self.hermiticity_defect(), scale, tol)
 
     def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
         if other.n != self.n:
@@ -325,9 +340,8 @@ def j_commutation_defect(a: BlockOperator) -> float:
 
 
 def is_j_commuting(a: BlockOperator, tol: float = DEFAULT_TOL) -> CheckResult:
-    """True iff max-norm of AJ - JA is at most tol."""
-    d = j_commutation_defect(a)
-    return CheckResult(d <= tol, d)
+    """True iff max-norm of AJ - JA is at most tol * max(1, max |A_ij|)."""
+    return CheckResult.within(j_commutation_defect(a), float(np.max(np.abs(a.matrix))), tol)
 
 
 def symplectic_form(psi1: PhaseVector, psi2: PhaseVector) -> float:
@@ -356,13 +370,13 @@ def hermitian_product(psi1: PhaseVector, psi2: PhaseVector) -> complex:
 def real_to_complex(a: BlockOperator, tol: float = DEFAULT_TOL) -> ComplexOperator:
     """Complex image M = A11 - i*A12 of a J-commuting block operator.
 
-    Raises ValueError when the commutation defect exceeds tol, since the
-    complex image is only defined on the J-commuting subalgebra.
+    Raises ValueError when :func:`is_j_commuting` fails at ``tol``, since
+    the complex image is only defined on the J-commuting subalgebra.
     """
     check = is_j_commuting(a, tol)
     if not check:
         raise ValueError(
-            f"operator does not commute with J (defect {check.defect:.3e} > tol {tol:.1e})"
+            f"operator does not commute with J (defect {check.defect:.3e}, tol {tol:.1e})"
         )
     return ComplexOperator(a.a11 - 1j * a.a12)
 

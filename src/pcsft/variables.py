@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .symplectic import (
-    DEFAULT_TOL,
+    FD_TOL,
     BlockOperator,
     CheckResult,
     PhaseVector,
@@ -60,9 +60,9 @@ class QuadraticTerm:
     def __post_init__(self):
         if self.power < 1:
             raise ValueError("power must be at least 1 (variables vanish at the origin)")
-        if not self.operator.is_symmetric(DEFAULT_TOL):
+        if not self.operator.is_symmetric():
             raise ValueError("term operator must be symmetric")
-        if not is_j_commuting(self.operator, DEFAULT_TOL):
+        if not is_j_commuting(self.operator):
             raise ValueError("term operator must commute with J")
 
 
@@ -283,7 +283,6 @@ def screen_variable(
     f: ClassicalVariable,
     seed: int = 0,
     probes: int = 64,
-    tol: float = 1e-8,
     scale: float = 1.0,
 ) -> dict:
     """Randomised screening of projectable-class membership.
@@ -296,14 +295,14 @@ def screen_variable(
 
     For structured variables all three hold by construction; this
     function exists for black boxes, where a pass is evidence rather
-    than proof. Defects are maxima over probes, relative to the probe
-    value scale.
+    than proof. Defects are maxima over probes, checked against
+    ``FD_TOL`` relative to the largest probe value.
     """
     rng = np.random.default_rng(seed)
     dim = 2 * f.n
     pts = rng.standard_normal((probes, dim)) * scale
     vals = f.values(pts)
-    ref = float(np.max(np.abs(vals))) + 1.0
+    ref = float(np.max(np.abs(vals)))
 
     at_zero = abs(float(f.values(np.zeros((1, dim)))[0]))
     even_defect = float(np.max(np.abs(f.values(-pts) - vals)))
@@ -318,7 +317,7 @@ def screen_variable(
     rot_defect = float(np.max(np.abs(f.values(rotated) - vals)))
 
     return {
-        "vanishes_at_origin": CheckResult(at_zero <= tol * ref, at_zero),
-        "even": CheckResult(even_defect <= tol * ref, even_defect),
-        "j_invariant": CheckResult(rot_defect <= tol * ref, rot_defect),
+        "vanishes_at_origin": CheckResult.within(at_zero, ref, FD_TOL),
+        "even": CheckResult.within(even_defect, ref, FD_TOL),
+        "j_invariant": CheckResult.within(rot_defect, ref, FD_TOL),
     }

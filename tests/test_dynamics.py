@@ -28,6 +28,8 @@ from pcsft.dynamics import (
     q_squared_p,
     schrodinger_flow,
 )
+from pcsft.fieldlab import FieldGrid, KernelOperator
+from pcsft.gaussian import GaussianState, quadratic_average
 from pcsft.symplectic import (
     BlockOperator,
     ComplexOperator,
@@ -234,6 +236,21 @@ def test_integrator_diverges_with_huge_step():
         integrate(q_squared_p(), PhaseVector([1.0], [1.0]), 20.0, 10.0)
 
 
+def test_integration_error_names_the_failing_rows():
+    # H = (psi, psi)^2: the fixed-point map contracts for small rows and
+    # blows up for the large one
+    quartic = NonquadraticHamiltonian.polynomial(BlockOperator.identity(1), [0.0, 1.0])
+    batch = np.array([[0.1, 0.0], [10.0, 0.0], [0.0, 0.2]])
+    with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
+        integrate(quartic, batch, 0.1, 0.1)
+    assert err.value.rows == [1] and err.value.step == 0
+    # out of sweeps without blowing up: only the row still moving fails
+    rotation = QuadraticHamiltonian(BlockOperator.identity(1))
+    with pytest.raises(IntegrationError) as err:
+        integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1, max_iter=1)
+    assert err.value.rows == [1]
+
+
 def test_batch_integration_matches_single():
     rng = np.random.default_rng(11)
     op = BlockOperator.from_pair([[1.0]], [[0.0]])
@@ -278,6 +295,46 @@ def test_heisenberg_value_consistency():
         moved = u.apply(psi).flat()
         rhs = moved @ a.matrix @ moved
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def _hermitian(rng, n):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (x + x.conj().T) / 2
+
+
+def test_heisenberg_evolved_observable_accepted_at_every_time():
+    # a valid observable at scale 1e5 stays valid under evolution: its
+    # round-off asymmetry (about 1e-10 at t = 5) is tiny next to its entries
+    rng = np.random.default_rng(1)
+    n = 8
+    a = complex_to_real(ComplexOperator(1e5 * _hermitian(rng, n)))
+    h = QuadraticHamiltonian(complex_to_real(ComplexOperator(_hermitian(rng, n))))
+    for t in (0.5, 5.0, 50.0):
+        a_t = heisenberg_evolve(a, h, t)
+        f = ClassicalVariable.quadratic(a_t)
+        psi = PhaseVector.from_flat(rng.standard_normal(2 * n))
+        moved = linear_flow(h, t).apply(psi).flat()
+        assert f.value(psi) == pytest.approx(0.5 * moved @ a.matrix @ moved, rel=1e-9)
+
+
+def test_large_hermitian_kernel_accepted_at_every_call_site():
+    # hermitian to round-off with eigenvalues up to 1e7; its asymmetry
+    # exceeds 1e-10 in absolute terms but not relative to its entries
+    rng = np.random.default_rng(0)
+    n = 16
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = ComplexOperator(q @ np.diag(rng.uniform(0.0, 1e7, n)) @ q.conj().T)
+    r = complex_to_real(m)
+    assert r.symmetry_defect() > 1e-10
+    KernelOperator.dense(FieldGrid(2 * n, 1.0), r.matrix)  # the field lab agrees
+    ClassicalVariable.quadratic(r)
+    QuadraticHamiltonian(r)
+    rho = GaussianState.isotropic(n, 1.0)
+    trace = float(np.real(np.trace(m.matrix)))
+    assert quadratic_average(rho, r) == pytest.approx(trace / n, rel=1e-12)
+    assert quadratic_average(rho, m) == pytest.approx(trace / n, rel=1e-12)
+    u = schrodinger_flow(m, 0.3).matrix
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(n), atol=1e-9)
 
 
 def test_heisenberg_ode_finite_difference():

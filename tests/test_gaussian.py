@@ -271,6 +271,28 @@ def test_sampling_split_batches_are_bit_identical():
     assert np.array_equal(whole, rows)
 
 
+def test_state_is_decomposed_once(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rho = random_state(np.random.default_rng(17), 6)
+    first = sample(rho, seed=3, count=40)
+    second = sample(rho, seed=3, count=40, start=40)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    monkeypatch.undo()
+    # the validating decomposition is the one sampling always used
+    w, v = rho._eigensystem
+    w_ref, v_ref = np.linalg.eigh(rho.covariance)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    assert np.array_equal(np.vstack([first, second]), sample(rho, seed=3, count=80))
+
+
 def test_sampling_seeds_and_starts_differ():
     rho = GaussianState.isotropic(2, 1.0)
     a = sample(rho, seed=1, count=10)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pcsft.gaussian import GaussianState
 from pcsft.symplectic import (
     BlockOperator,
     ComplexOperator,
@@ -26,6 +27,7 @@ from pcsft.symplectic import (
     real_to_complex,
     symplectic_form,
 )
+from pcsft.variables import QuadraticTerm
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -317,3 +319,61 @@ def test_poisson_bracket_canonical_pair():
 def _random_symmetric(rng, n):
     x = rng.standard_normal((2 * n, 2 * n))
     return (x + x.T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Tolerance policy: verdicts do not depend on units
+# ---------------------------------------------------------------------------
+
+
+def _builds(cls, *args) -> bool:
+    try:
+        cls(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    valid=st.booleans(),
+    size=st.floats(2.0, 6.0),
+    rel_defect=st.floats(2e-3, 0.5),
+    log_c=st.floats(-6.0, 6.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_verdicts_are_invariant_under_scaling(seed, n, valid, size, rel_defect, log_c):
+    # Two classes, neither near the boundary: operators valid up to
+    # round-off, and operators with relative defect >= 1e-3 whose largest
+    # entry lies in [1, 10]. Scaling by c in [1e-6, 1e6] keeps the verdict.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = q @ np.diag(rng.standard_normal(n)) @ q.conj().T  # hermitian to round-off
+    m *= size / np.max(np.abs(m))
+    r = complex_to_real(ComplexOperator(m)).matrix
+    x = rng.standard_normal((2 * n, int(rng.integers(1, 2 * n + 1))))
+    b = x @ x.T  # PSD to round-off, possibly rank-deficient
+    b *= size / np.max(np.abs(b))
+    bump = rel_defect * size
+    r_asym, r_j = r.copy(), r.copy()
+    if not valid:
+        m[0, 1] += bump  # breaks hermiticity
+        r_asym[0, 1] += bump  # breaks symmetry
+        r_j[0, 0] += bump  # symmetric, but breaks J-commutation
+        w = np.linalg.eigvalsh(b)
+        b = b - (w[0] + rel_defect * w[-1]) * np.eye(2 * n)  # min eig -rel_defect * max
+        b *= size / np.max(np.abs(b))
+
+    def verdicts(c):
+        return [
+            bool(BlockOperator(c * r_asym).is_symmetric()),
+            bool(ComplexOperator(c * m).is_hermitian()),
+            bool(is_j_commuting(BlockOperator(c * r_j))),
+            _builds(QuadraticTerm, 1.0, BlockOperator(c * r_asym), 1),
+            _builds(QuadraticTerm, 1.0, BlockOperator(c * r_j), 1),
+            _builds(GaussianState, c * b),
+        ]
+
+    for c in (1.0, 1e-6, 1e6, 10.0**log_c):
+        assert verdicts(c) == [valid] * 6, c
