@@ -15,10 +15,11 @@ higher-order terms the mismatch vanishes linearly in the dispersion,
 which :func:`alpha_scan` measures.
 
 Monte Carlo estimates read the counter-based sample stream in fixed
-4096-row chunks (``variables.ROW_BLOCK``) and merge the chunks'
-(count, mean, M2) triples. A given (seed, count) therefore produces the
-same estimate to the last bit for a fixed BLAS library and thread
-count; the quadratic forms of the variables go through BLAS.
+4096-row chunks (``gaussian.ROW_BLOCK``, so each chunk is exactly one
+sample block) and merge the chunks' (count, mean, M2) triples. A given
+(seed, count) therefore produces the same estimate to the last bit for
+a fixed BLAS library and thread count; sample shaping and the quadratic
+forms of the variables go through BLAS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from ._csvio import write_csv
 from .dynamics import schrodinger_flow
 from .gaussian import (
+    ROW_BLOCK,
     DensityOperator,
     GaussianState,
     complex_covariance,
@@ -39,7 +41,7 @@ from .gaussian import (
     sample,
 )
 from .symplectic import FD_TOL, CheckResult, ComplexOperator, real_to_complex
-from .variables import ROW_BLOCK, ClassicalVariable, screen_variable
+from .variables import ClassicalVariable, screen_variable
 
 __all__ = [
     "MonteCarloEstimate",

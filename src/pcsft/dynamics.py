@@ -244,7 +244,7 @@ def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integration record: states has shape (steps+1, 2n) for a single
     initial point, or (steps+1, m, 2n) for a batch."""

@@ -85,7 +85,7 @@ class FieldGrid:
         return self.n_points * self.dx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldState:
     """Complex field configuration on a grid."""
 

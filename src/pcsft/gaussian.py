@@ -15,7 +15,8 @@ matrix, which is how these measures project onto density operators (see
 
 Sampling is counter-based: a fixed (seed, start, count) triple always
 yields the same rows, and splitting a batch at any sample boundary
-reproduces the sequential stream bit for bit.
+reproduces the sequential stream bit for bit, for a fixed BLAS library
+and thread count.
 """
 
 from __future__ import annotations
@@ -49,8 +50,14 @@ __all__ = [
     "sample",
 ]
 
+# rows per sample block, batched form and Monte Carlo chunk; a row is
+# always shaped at the same position of a block of this size, which keeps
+# its BLAS result independent of how a request is split, and the block
+# bounds temporary memory
+ROW_BLOCK = 4096
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Zero-mean Gaussian measure with real covariance ``covariance``.
 
@@ -125,7 +132,7 @@ class GaussianState:
         return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace complex matrix."""
 
@@ -295,25 +302,42 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     """Draw ``count`` points of rho as a (count, 2n) array.
 
     Deterministic in (seed, start, count): the row at global index k is
-    the same whether generated in one batch or in any split of batches.
-    Gaussian shaping uses the inverse normal CDF on counter-based
-    uniforms and the symmetric eigenfactor of the covariance, so
-    rank-deficient covariances are handled by clamping the (already
-    validated) tiny negative eigenvalues to zero.
+    the same whether generated in one batch or in any split of batches,
+    for a fixed BLAS library and thread count. Gaussian shaping applies
+    the inverse normal CDF to counter-based uniforms and multiplies by
+    the symmetric eigenfactor of the covariance. Only the support is
+    shaped: eigenvalues within round-off of zero count as exact zeros,
+    and their directions get neither ``ndtri`` nor a matmul column, so a
+    pure-state measure shapes 2 normals per row whatever n is. Every
+    row goes through one BLAS matmul of a fixed shape at a fixed
+    position: the ROW_BLOCK-row block that starts at a multiple of
+    ROW_BLOCK in the global row index. Rows of a block outside the
+    request are zeros and cost no ``ndtri``.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
     dim = 2 * rho.n
-    if count == 0:
-        return np.zeros((0, dim))
-    u = _block_aligned_uniforms(int(seed), int(start), int(count), dim)
-    tiny = np.finfo(float).tiny
-    z = ndtri(np.clip(u, tiny, None))
     w, v = rho._eigensystem
-    # eigenvalues within round-off of zero are exact zeros, so that
-    # rank-deficient states stay on their support subspace
-    w = np.where(w > 1e-14 * max(float(w[-1]), 0.0), w, 0.0)
-    factor = v * np.sqrt(w)
-    # einsum (non-BLAS path) makes each output row independent of the
-    # batch shape; plain matmul is not bit-stable across batch splits
-    return np.einsum("kj,ij->ki", z, factor)
+    # eigh sorts ascending, so the kept directions are a suffix
+    low = dim - int(np.count_nonzero(w > 1e-14 * max(float(w[-1]), 0.0)))
+    if count == 0 or low == dim:
+        return np.zeros((count, dim))
+    factor = (v[:, low:] * np.sqrt(w[low:])).T
+    u = _block_aligned_uniforms(int(seed), int(start), int(count), dim)
+    # a contiguous copy, on which ndtri runs faster than on the padded rows;
+    # the uniforms' memory is then free to hold the output
+    z = np.clip(u[:, low:], np.finfo(float).tiny, None)
+    del u
+    ndtri(z, out=z)
+    out = np.empty((count, dim))
+    stop = start + count
+    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
+        a, b = max(start, first), min(stop, first + ROW_BLOCK)
+        rows = slice(a - start, b - start)
+        if b - a == ROW_BLOCK:
+            np.matmul(z[rows], factor, out=out[rows])
+        else:
+            block = np.zeros((ROW_BLOCK, dim - low))
+            block[a - first : b - first] = z[rows]
+            out[rows] = (block @ factor)[a - first : b - first]
+    return out

@@ -82,7 +82,7 @@ class CheckResult:
         return cls(defect <= tol * max(1.0, scale), defect)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseVector:
     """Point psi = (q, p) of the 2n-dimensional phase space.
 
@@ -155,7 +155,7 @@ class PhaseVector:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Real linear operator on the 2n-dimensional phase space.
 
@@ -253,7 +253,7 @@ class BlockOperator:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexOperator:
     """Complex n x n operator, the C-linear image of a J-commuting real one."""
 

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .gaussian import ROW_BLOCK
 from .symplectic import (
     FD_TOL,
     BlockOperator,
@@ -33,10 +34,6 @@ from .symplectic import (
 )
 
 __all__ = ["QuadraticTerm", "ClassicalVariable", "screen_variable"]
-
-# rows per block of every batched form and Monte Carlo chunk; a fixed
-# block keeps BLAS results reproducible and bounds temporary memory
-ROW_BLOCK = 4096
 
 
 def _quadratic_forms(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -169,12 +166,19 @@ class ClassicalVariable:
         pts = self._check_batch(pts)
         if self._terms is not None:
             out = np.zeros_like(pts)
+            images, forms = {}, {}  # polynomial terms share their operator
             for t in self._terms:
-                a_pts = pts @ t.operator.matrix  # symmetric, so A psi row-wise
+                key = id(t.operator)
+                a_pts = images.get(key)
+                if a_pts is None:
+                    # symmetric, so A psi row-wise
+                    a_pts = images[key] = pts @ t.operator.matrix
                 if t.power == 1:
                     out += (2.0 * t.coefficient) * a_pts
                 else:
-                    form = np.einsum("...i,...i->...", pts, a_pts)
+                    form = forms.get(key)
+                    if form is None:
+                        form = forms[key] = np.einsum("...i,...i->...", pts, a_pts)
                     out += (2.0 * t.coefficient * t.power) * form[..., None] ** (
                         t.power - 1
                     ) * a_pts

@@ -260,6 +260,15 @@ def test_pushforward_dimension_check():
 # ---------------------------------------------------------------------------
 
 
+def _pure_and_full_rank_states(n):
+    rng = np.random.default_rng(13)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (
+        pure_state_measure(psi / np.linalg.norm(psi), 0.7),
+        random_j_invariant_state(rng, n, alpha=1.0),
+    )
+
+
 def test_sampling_split_batches_are_bit_identical():
     rho = random_j_invariant_state(np.random.default_rng(13), 3)
     whole = sample(rho, seed=99, count=50)
@@ -269,6 +278,40 @@ def test_sampling_split_batches_are_bit_identical():
     assert np.array_equal(whole, split)
     rows = np.vstack([sample(rho, seed=99, count=1, start=k) for k in range(50)])
     assert np.array_equal(whole, rows)
+    # n = 128 at rank 2 and full rank; rows 1000..9999 start off the
+    # 4096-row block grid and cover two block boundaries
+    for rho, rank in zip(_pure_and_full_rank_states(128), (2, 256)):
+        assert np.linalg.matrix_rank(rho.covariance) == rank
+        whole = sample(rho, seed=99, count=9000, start=1000)
+        cuts = [1000, 1001, 4095, 4097, 8191, 8200, 10000]
+        split = np.vstack(
+            [sample(rho, seed=99, count=b - a, start=a) for a, b in zip(cuts, cuts[1:])]
+        )
+        assert np.array_equal(whole, split)
+        # single rows, which numpy may send to gemv when shaped alone
+        for k in [1000, 4095, 4096, 8191, 8192, 9999]:
+            row = sample(rho, seed=99, count=1, start=k)[0]
+            assert np.array_equal(row, whole[k - 1000])
+
+
+def test_pure_state_sampling_shapes_only_its_support(monkeypatch):
+    from pcsft import gaussian
+
+    shapes = []
+    original = gaussian.ndtri
+
+    def recorded(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "ndtri", recorded)
+    rho = _pure_and_full_rank_states(16)[0]
+    pts = sample(rho, seed=4, count=5000, start=3000)
+    assert shapes and all(shape[1:] == (2,) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == 5000  # no ndtri on padding rows
+    # the samples still live on the plane of the state
+    w, v = np.linalg.eigh(rho.covariance)
+    assert np.max(np.abs(pts @ v[:, :-2])) < 1e-12
 
 
 def test_state_is_decomposed_once(monkeypatch):

@@ -98,6 +98,31 @@ def test_phase_vector_is_immutable():
         psi.q[0] = 5.0
 
 
+
+def _array_holders():
+    from pcsft.dynamics import Trajectory
+    from pcsft.fieldlab import FieldGrid, FieldState
+    from pcsft.gaussian import DensityOperator
+
+    z = np.zeros(2)
+    return [
+        PhaseVector([1.0], [2.0]),
+        BlockOperator(np.eye(2)),
+        ComplexOperator(np.eye(2)),
+        GaussianState.isotropic(1, 1.0),
+        DensityOperator.maximally_mixed(2),
+        FieldState(FieldGrid(2, 1.0), np.ones(2)),
+        Trajectory(z, np.zeros((2, 2)), z, z, 0.1),
+    ]
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # field-wise == on arrays is ambiguous; these objects compare by identity
+    for obj, twin in zip(_array_holders(), _array_holders()):
+        assert obj == obj and obj != twin
+        assert hash(obj) == hash(obj)
+        assert len({obj, twin}) == 2
+
 # ---------------------------------------------------------------------------
 # J itself
 # ---------------------------------------------------------------------------

@@ -55,6 +55,28 @@ def test_batch_values_match_single_evaluation():
     np.testing.assert_allclose(f.values(big), form - 0.25 * form**3, rtol=1e-12, atol=1e-12)
 
 
+def test_gradients_with_shared_operators_match_per_term_reference():
+    rng = np.random.default_rng(2)
+    a = random_admissible_operator(rng, 3)
+    b = random_admissible_operator(rng, 3)
+    f = (
+        ClassicalVariable.polynomial(a, [0.5, -0.3, 0.02])
+        + ClassicalVariable.quadratic(b)
+        + ClassicalVariable.polynomial(a, [0.0, 0.1])
+    )
+    pts = rng.standard_normal((3, 1500, 6))
+    # reference: every term computes its own A psi and form
+    ref = np.zeros_like(pts)
+    for t in f.terms:
+        a_pts = pts @ t.operator.matrix
+        if t.power == 1:
+            ref += (2.0 * t.coefficient) * a_pts
+        else:
+            form = np.einsum("...i,...i->...", pts, a_pts)
+            ref += (2.0 * t.coefficient * t.power) * form[..., None] ** (t.power - 1) * a_pts
+    assert np.array_equal(f.gradients(pts), ref)
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     a = random_admissible_operator(rng, 2)
