@@ -8,7 +8,10 @@ is what ties the classical linear dynamics to the quantum one. General
 rule, which is symplectic, second order, and conserves every quadratic
 invariant of the flow exactly, in particular the squared norm whenever
 the Hamiltonian satisfies the norm-preservation identity
-(J grad H(psi), psi) = 0.
+(J grad H(psi), psi) = 0. Its fixed-point sweeps run in work buffers
+allocated once per call. For structured Hamiltonians (sums of powers of
+quadratic forms) the field dt J grad H is one fused BLAS kernel; any
+other Hamiltonian is evaluated through its ``gradients`` callback.
 
 Hamiltonian objects here share the batch calling convention of
 :class:`pcsft.variables.ClassicalVariable`: ``values`` / ``gradients``
@@ -18,9 +21,9 @@ act on (..., 2n) arrays of flattened phase points, while ``value`` /
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,10 +91,7 @@ class QuadraticHamiltonian:
                 f"Hamiltonian kernel must be symmetric "
                 f"(defect {self.operator.symmetry_defect():.3e})"
             )
-        # per-instance caches; guarded because experiments may share a
-        # Hamiltonian across threads
         object.__setattr__(self, "_flow_cache", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     @property
     def n(self) -> int:
@@ -137,12 +137,16 @@ class NonquadraticHamiltonian:
             raise ValueError("n must be at least 1")
         if self.gradient_fn is None:
             raise ValueError("integration requires a gradient callback")
+        object.__setattr__(self, "_variable", None)
 
     @classmethod
     def from_variable(cls, v: ClassicalVariable) -> "NonquadraticHamiltonian":
         if not v.has_gradient:
             raise ValueError("variable has no gradient; cannot serve as a Hamiltonian")
-        return cls(v.values, v.gradients, v.n)
+        h = cls(v.values, v.gradients, v.n)
+        # a structured source lets integrate use the fused field kernel
+        object.__setattr__(h, "_variable", v)
+        return h
 
     @classmethod
     def polynomial(cls, op: BlockOperator, coefficients) -> "NonquadraticHamiltonian":
@@ -205,8 +209,7 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
     if method == "auto":
         resolved = "spectral" if h.j_invariant else "expm"
     key = (float(t), resolved)
-    with h._lock:
-        hit = h._flow_cache.get(key)
+    hit = h._flow_cache.get(key)
     if hit is not None:
         return hit
 
@@ -225,8 +228,7 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
         jh = np.vstack([h.operator.matrix[n:, :], -h.operator.matrix[:n, :]])
         u = BlockOperator(scipy.linalg.expm(jh * t))
 
-    with h._lock:
-        h._flow_cache[key] = u
+    h._flow_cache[key] = u
     return u
 
 
@@ -247,13 +249,15 @@ def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integration record: states has shape (steps+1, 2n) for a single
-    initial point, or (steps+1, m, 2n) for a batch."""
+    initial point, or (steps+1, m, 2n) for a batch. ``sweeps`` holds the
+    fixed-point sweeps of each step as filled by :func:`integrate`."""
 
     times: np.ndarray
     states: np.ndarray
     energies: np.ndarray
     norms: np.ndarray
     dt: float
+    sweeps: Optional[np.ndarray] = None
 
     @property
     def is_batch(self) -> bool:
@@ -308,18 +312,30 @@ def integrate(
     iteration to ``tol`` (relative to the state scale), raising
     :class:`IntegrationError` after ``max_iter`` sweeps, or at once when
     a row turns non-finite; the error names the rows that failed.
+    ``Trajectory.sweeps`` records the sweeps each step took.
+
+    The sweeps reuse work buffers allocated once per call and write each
+    step straight into the stored states. The field dt * J grad H is
+    built once per call: for a structured Hamiltonian (a
+    QuadraticHamiltonian, a structured ClassicalVariable, or a
+    NonquadraticHamiltonian made from one) it is one BLAS matmul per
+    sweep against a precomputed [A | A J^T] block per distinct operator A,
+    scaled row-wise by dt * 2 f'((A psi, psi)); any other ``h`` is
+    evaluated through its ``gradients`` callback.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_final == 0:
         raise ValueError("t_final must be nonzero")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if isinstance(psi0, PhaseVector):
         y = psi0.flat()[None, :]
         squeeze = True
     else:
         y = np.asarray(psi0, dtype=float)
         squeeze = y.ndim == 1
-        y = np.atleast_2d(y).copy()
+        y = np.atleast_2d(y)
     if y.shape[-1] % 2 != 0:
         raise ValueError("flat phase points must have even length")
 
@@ -328,9 +344,12 @@ def integrate(
 
     states = np.empty((steps + 1,) + y.shape)
     states[0] = y
+    field = _field(h, step_dt, y.shape)
+    work = tuple(np.empty(y.shape) for _ in range(4))
+    sweeps = np.empty(steps, dtype=int)
     for k in range(steps):
-        y = _midpoint_step(h, y, step_dt, tol, max_iter, k)
-        states[k + 1] = y
+        sweeps[k] = _midpoint_step(field, states[k], states[k + 1], work, tol, max_iter, k)
+    del field, work  # free the buffers before the energies' temporaries
 
     times = np.arange(steps + 1) * step_dt
     energies = h.values(states)
@@ -339,26 +358,119 @@ def integrate(
         states = states[:, 0, :]
         energies = energies[:, 0]
         norms = norms[:, 0]
-    return Trajectory(times, states, energies, norms, abs(step_dt))
+    return Trajectory(times, states, energies, norms, abs(step_dt), sweeps)
 
 
-def _midpoint_step(h, y, dt, tol, max_iter, step_index):
-    scale = 1.0 + float(np.max(np.abs(y)))
+def _midpoint_step(field, y, out, work, tol, max_iter, step_index) -> int:
+    """Solve out = y + field((y + out)/2); returns the sweeps it took."""
+    x, x_next, mid, change = work
+    scale = 1.0 + float(np.abs(y, out=change).max())
     with np.errstate(all="ignore"):  # divergence is reported, not warned about
-        x = y + dt * _apply_j_flat(h.gradients(y))  # Euler predictor
-        for _ in range(max_iter):
-            x_next = y + dt * _apply_j_flat(h.gradients((y + x) / 2.0))
-            change = np.abs(x_next - x)
-            residual = float(np.max(change))
-            x = x_next
-            if not np.isfinite(residual):
+        field(y, x)  # Euler predictor
+        x += y
+        for sweep in range(1, max_iter + 1):
+            np.add(y, x, out=mid)
+            np.divide(mid, 2.0, out=mid)
+            field(mid, x_next)
+            x_next += y
+            residual = float(np.abs(np.subtract(x_next, x, out=change), out=change).max())
+            x, x_next = x_next, x
+            if not math.isfinite(residual):
                 break
             if residual <= tol * scale:
-                return x
+                np.copyto(out, x)
+                return sweep
     # a row that blew up stops the sweeps, and then it alone is named
     row_residuals = change.max(axis=-1)
-    failed = row_residuals > tol * scale if np.isfinite(residual) else ~np.isfinite(row_residuals)
+    failed = row_residuals > tol * scale if math.isfinite(residual) else ~np.isfinite(row_residuals)
     raise IntegrationError(step_index, residual, np.flatnonzero(failed).tolist())
+
+
+def _field(h, dt, shape):
+    """The map field(pts, out): out = dt * J grad H(pts) on (m, 2n) batches
+    of the given shape, built once per integrate call."""
+    if isinstance(h, QuadraticHamiltonian):
+        terms = [(0.5, h.operator, 1)]
+    else:
+        v = h._variable if isinstance(h, NonquadraticHamiltonian) else h
+        if not (isinstance(v, ClassicalVariable) and v.is_structured):
+            return partial(_callback_field, h, dt)
+        terms = [(t.coefficient, t.operator, t.power) for t in v.terms]
+    if shape[-1] != 2 * h.n:
+        raise ValueError(f"batch last axis must be 2n = {2 * h.n}, got {shape[-1]}")
+    return _StructuredField(terms, dt, shape)
+
+
+def _callback_field(h, dt, pts, out):
+    # J(q, p) = (p, -q), written half by half into out
+    g = np.asarray(h.gradients(pts))
+    n = g.shape[-1] // 2
+    np.multiply(g[..., n:], dt, out=out[..., :n])
+    np.multiply(g[..., :n], -dt, out=out[..., n:])
+
+
+class _StructuredField:
+    """dt * J grad H for H = sum_A f_A((A psi, psi)), each f_A a polynomial.
+
+    grad H = sum_A 2 f_A'(s_A) A psi with s_A = (A psi, psi). An operator
+    whose f_A is nonlinear gets an [A | A J^T] block, whose product with
+    a row gives A psi (hence s_A) and J A psi at once; the operators with
+    linear f_A fold into one constant matrix after those blocks. A sweep
+    is then one matmul plus row-wise scaling, all into buffers made here.
+    """
+
+    def __init__(self, terms, dt, shape):
+        rows, dim = shape
+        n = dim // 2
+        by_operator = {}  # id(operator) -> (matrix, {power: coefficient})
+        for c, op, k in terms:
+            coeffs = by_operator.setdefault(id(op), (op.matrix, {}))[1]
+            coeffs[k] = coeffs.get(k, 0.0) + c
+        blocks, horners, linear = [], [], None
+        for a, coeffs in by_operator.values():
+            a_j = np.concatenate([a[:, n:], -a[:, :n]], axis=1)  # row psi -> J A psi
+            top = max(coeffs)
+            if top == 1:
+                part = (2.0 * dt * coeffs[1]) * a_j
+                linear = part if linear is None else linear + part
+            else:
+                blocks += [a, a_j]
+                # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
+                horners.append([2.0 * dt * k * coeffs.get(k, 0.0) for k in range(top, 0, -1)])
+        self._block = np.concatenate(blocks + ([] if linear is None else [linear]), axis=1)
+        self._scaled = []
+        if not horners:  # one matmul straight into the output
+            return
+        self._prod = np.empty((rows, self._block.shape[1]))
+        # per nonlinear operator: its Horner coefficients and views of A psi, J A psi
+        for i, horner in enumerate(horners):
+            a_pts = self._prod[:, 2 * i * dim : (2 * i + 1) * dim]
+            j_a_pts = self._prod[:, (2 * i + 1) * dim : (2 * i + 2) * dim]
+            self._scaled.append((horner, a_pts, j_a_pts))
+        self._linear = None if linear is None else self._prod[:, -dim:]
+        self._s = np.empty(rows)
+        self._factor = np.empty((rows, 1))
+        self._tmp = np.empty(shape) if len(horners) > 1 else None
+
+    def __call__(self, pts, out):
+        if not self._scaled:
+            np.matmul(pts, self._block, out=out)
+            return
+        s, factor, phi = self._s, self._factor, self._factor[:, 0]
+        np.matmul(pts, self._block, out=self._prod)
+        for i, (horner, a_pts, j_a_pts) in enumerate(self._scaled):
+            np.einsum("ij,ij->i", pts, a_pts, out=s)
+            np.multiply(s, horner[0], out=phi)
+            phi += horner[1]
+            for c in horner[2:]:
+                phi *= s
+                phi += c
+            target = out if i == 0 else self._tmp
+            np.multiply(j_a_pts, factor, out=target)
+            if i > 0:
+                out += target
+        if self._linear is not None:
+            out += self._linear
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pcsft.dynamics import (
     NonquadraticHamiltonian,
     QuadraticHamiltonian,
     Trajectory,
+    _field,
     flow_oddness_defect,
     heisenberg_evolve,
     integrate,
@@ -238,17 +239,63 @@ def test_integrator_diverges_with_huge_step():
 
 def test_integration_error_names_the_failing_rows():
     # H = (psi, psi)^2: the fixed-point map contracts for small rows and
-    # blows up for the large one
+    # blows up for the large one, through the fused kernel and through
+    # the same Hamiltonian's callbacks
     quartic = NonquadraticHamiltonian.polynomial(BlockOperator.identity(1), [0.0, 1.0])
+    black_box = NonquadraticHamiltonian(quartic.value_fn, quartic.gradient_fn, 1)
     batch = np.array([[0.1, 0.0], [10.0, 0.0], [0.0, 0.2]])
-    with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
-        integrate(quartic, batch, 0.1, 0.1)
-    assert err.value.rows == [1] and err.value.step == 0
+    for h in (quartic, black_box):
+        with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
+            integrate(h, batch, 0.1, 0.1)
+        assert err.value.rows == [1] and err.value.step == 0
     # out of sweeps without blowing up: only the row still moving fails
     rotation = QuadraticHamiltonian(BlockOperator.identity(1))
     with pytest.raises(IntegrationError) as err:
         integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1, max_iter=1)
     assert err.value.rows == [1]
+
+
+def _two_operator_variables():
+    a1 = BlockOperator.from_pair([[1.0, 0.2], [0.2, 0.5]], [[0.0, 0.3], [-0.3, 0.0]])
+    a2 = BlockOperator.from_pair([[0.4, -0.1], [-0.1, 1.2]], [[0.0, -0.2], [0.2, 0.0]])
+    return [
+        # both operators nonlinear, powers 1 to 3
+        ClassicalVariable.polynomial(a1, [0.5, 0.0, 0.2]) + ClassicalVariable.polynomial(a2, [0.3, -0.1]),
+        # a linear operator folds into the constant matrix
+        ClassicalVariable.polynomial(a1, [0.0, 0.0, 0.2]) + ClassicalVariable.quadratic(a2),
+    ]
+
+
+def _structured_hamiltonians():
+    op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
+    return _two_operator_variables() + [
+        random_symmetric_hamiltonian(np.random.default_rng(12), 2),
+        NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "h", _structured_hamiltonians(), ids=["two-nonlinear", "nonlinear-and-linear", "quadratic", "polynomial"]
+)
+def test_fused_field_matches_gradients(h):
+    pts = np.random.default_rng(14).standard_normal((7, 4))
+    dt = 0.03
+    reference = dt * h.gradients(pts) @ j_matrix(2).T
+    field = np.empty_like(pts)
+    _field(h, dt, pts.shape)(pts, field)
+    assert np.max(np.abs(field - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("v", _two_operator_variables())
+def test_structured_integration_matches_its_callbacks(v):
+    # the fused kernel changes the midpoint trajectory by rounding only,
+    # and the fixed point takes the same sweeps
+    batch = 0.5 * np.random.default_rng(13).standard_normal((5, 4))
+    fused = integrate(v, batch, 1.0, 0.02)
+    black_box = integrate(ClassicalVariable.from_callbacks(v.values, v.gradients, n=2), batch, 1.0, 0.02)
+    np.testing.assert_allclose(fused.states, black_box.states, rtol=0, atol=1e-13)
+    assert fused.sweeps.shape == (50,) and fused.sweeps.min() >= 1
+    np.testing.assert_array_equal(fused.sweeps, black_box.sweeps)
 
 
 def test_batch_integration_matches_single():
