@@ -304,7 +304,7 @@ def integrate(
 
     ``h`` is any object with ``values`` / ``gradients`` batch callables
     (QuadraticHamiltonian, NonquadraticHamiltonian, ClassicalVariable).
-    ``psi0`` is a PhaseVector, a flat (2n,) array, or an (m, 2n) batch.
+    ``psi0`` is a PhaseVector, a flat (2n,) array, or a (..., 2n) batch.
 
     The step count is round(|t_final| / dt), so the effective step is
     t_final / steps and the trajectory lands exactly on t_final. Each
@@ -387,7 +387,7 @@ def _midpoint_step(field, y, out, work, tol, max_iter, step_index) -> int:
 
 
 def _field(h, dt, shape):
-    """The map field(pts, out): out = dt * J grad H(pts) on (m, 2n) batches
+    """The map field(pts, out): out = dt * J grad H(pts) on (..., 2n) batches
     of the given shape, built once per integrate call."""
     if isinstance(h, QuadraticHamiltonian):
         terms = [(0.5, h.operator, 1)]
@@ -412,65 +412,52 @@ def _callback_field(h, dt, pts, out):
 class _StructuredField:
     """dt * J grad H for H = sum_A f_A((A psi, psi)), each f_A a polynomial.
 
-    grad H = sum_A 2 f_A'(s_A) A psi with s_A = (A psi, psi). An operator
-    whose f_A is nonlinear gets an [A | A J^T] block, whose product with
-    a row gives A psi (hence s_A) and J A psi at once; the operators with
-    linear f_A fold into one constant matrix after those blocks. A sweep
-    is then one matmul plus row-wise scaling, all into buffers made here.
+    grad H = sum_A 2 f_A'(s_A) A psi with s_A = (A psi, psi). Each distinct
+    operator gets an [A | A J^T] block, whose product with a row gives
+    A psi (hence s_A) and J A psi at once, and a Horner rule for
+    dt * 2 f_A'(s_A). A sweep is then one matmul plus row-wise scaling,
+    all into buffers made here. Leading batch axes are flattened into rows.
     """
 
     def __init__(self, terms, dt, shape):
-        rows, dim = shape
-        n = dim // 2
+        dim = shape[-1]
+        rows = math.prod(shape[:-1])
         by_operator = {}  # id(operator) -> (matrix, {power: coefficient})
         for c, op, k in terms:
             coeffs = by_operator.setdefault(id(op), (op.matrix, {}))[1]
             coeffs[k] = coeffs.get(k, 0.0) + c
-        blocks, horners, linear = [], [], None
+        blocks, horners = [], []
         for a, coeffs in by_operator.values():
-            a_j = np.concatenate([a[:, n:], -a[:, :n]], axis=1)  # row psi -> J A psi
-            top = max(coeffs)
-            if top == 1:
-                part = (2.0 * dt * coeffs[1]) * a_j
-                linear = part if linear is None else linear + part
-            else:
-                blocks += [a, a_j]
-                # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
-                horners.append([2.0 * dt * k * coeffs.get(k, 0.0) for k in range(top, 0, -1)])
-        self._block = np.concatenate(blocks + ([] if linear is None else [linear]), axis=1)
-        self._scaled = []
-        if not horners:  # one matmul straight into the output
-            return
+            blocks += [a, _apply_j_flat(a)]  # row psi -> A psi, J A psi
+            # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
+            horners.append([2.0 * dt * k * coeffs.get(k, 0.0) for k in range(max(coeffs), 0, -1)])
+        self._block = np.concatenate(blocks, axis=1)
         self._prod = np.empty((rows, self._block.shape[1]))
-        # per nonlinear operator: its Horner coefficients and views of A psi, J A psi
+        # per operator: its Horner coefficients and views of A psi, J A psi
+        self._scaled = []
         for i, horner in enumerate(horners):
             a_pts = self._prod[:, 2 * i * dim : (2 * i + 1) * dim]
             j_a_pts = self._prod[:, (2 * i + 1) * dim : (2 * i + 2) * dim]
             self._scaled.append((horner, a_pts, j_a_pts))
-        self._linear = None if linear is None else self._prod[:, -dim:]
         self._s = np.empty(rows)
         self._factor = np.empty((rows, 1))
-        self._tmp = np.empty(shape) if len(horners) > 1 else None
+        self._tmp = np.empty((rows, dim)) if len(horners) > 1 else None
 
     def __call__(self, pts, out):
-        if not self._scaled:
-            np.matmul(pts, self._block, out=out)
-            return
+        # both are contiguous buffers, so these reshapes are views
+        pts, out = pts.reshape(-1, pts.shape[-1]), out.reshape(-1, out.shape[-1])
         s, factor, phi = self._s, self._factor, self._factor[:, 0]
         np.matmul(pts, self._block, out=self._prod)
         for i, (horner, a_pts, j_a_pts) in enumerate(self._scaled):
             np.einsum("ij,ij->i", pts, a_pts, out=s)
-            np.multiply(s, horner[0], out=phi)
-            phi += horner[1]
-            for c in horner[2:]:
+            phi.fill(horner[0])
+            for c in horner[1:]:
                 phi *= s
                 phi += c
             target = out if i == 0 else self._tmp
             np.multiply(j_a_pts, factor, out=target)
             if i > 0:
                 out += target
-        if self._linear is not None:
-            out += self._linear
 
 
 # ---------------------------------------------------------------------------

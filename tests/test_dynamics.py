@@ -261,7 +261,7 @@ def _two_operator_variables():
     return [
         # both operators nonlinear, powers 1 to 3
         ClassicalVariable.polynomial(a1, [0.5, 0.0, 0.2]) + ClassicalVariable.polynomial(a2, [0.3, -0.1]),
-        # a linear operator folds into the constant matrix
+        # one operator nonlinear, the other linear
         ClassicalVariable.polynomial(a1, [0.0, 0.0, 0.2]) + ClassicalVariable.quadratic(a2),
     ]
 
@@ -298,6 +298,26 @@ def test_structured_integration_matches_its_callbacks(v):
     np.testing.assert_array_equal(fused.sweeps, black_box.sweeps)
 
 
+def test_multi_axis_batch_matches_flat_rows():
+    # every field path takes (..., 2n) batches; the rows do not interact
+    op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
+    poly = NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125])
+    black_box = NonquadraticHamiltonian(poly.value_fn, poly.gradient_fn, 2)
+    batch = 0.5 * np.random.default_rng(15).standard_normal((2, 3, 4))
+    for h in _two_operator_variables() + [poly, black_box, QuadraticHamiltonian(op)]:
+        grid = integrate(h, batch, 0.5, 0.05)
+        rows = integrate(h, batch.reshape(6, 4), 0.5, 0.05)
+        assert grid.states.shape == (11, 2, 3, 4) and grid.energies.shape == (11, 2, 3)
+        np.testing.assert_allclose(grid.states.reshape(11, 6, 4), rows.states, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(grid.sweeps, rows.sweeps)
+    f0 = ClassicalVariable.quadratic(op)
+    np.testing.assert_allclose(
+        lift_variable(poly, f0, 0.4).values(batch).reshape(6),
+        lift_variable(poly, f0, 0.4).values(batch.reshape(6, 4)),
+        rtol=1e-14,
+    )
+
+
 def test_batch_integration_matches_single():
     rng = np.random.default_rng(11)
     op = BlockOperator.from_pair([[1.0]], [[0.0]])
@@ -322,6 +342,8 @@ def test_time_grid_and_reversibility():
         integrate(h, PhaseVector([1.0], [0.0]), 1.0, -0.1)
     with pytest.raises(ValueError):
         integrate(h, PhaseVector([1.0], [0.0]), 0.0, 0.1)
+    with pytest.raises(ValueError):
+        integrate(h, PhaseVector([1.0], [0.0]), 1.0, 0.1, max_iter=0)
 
 
 # ---------------------------------------------------------------------------
