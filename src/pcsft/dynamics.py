@@ -13,8 +13,11 @@ allocated once per call. For structured Hamiltonians (sums of powers of
 quadratic forms) the field dt J grad H is one fused BLAS kernel; any
 other Hamiltonian is evaluated through its ``gradients`` callback.
 
-Hamiltonian objects here share the batch calling convention of
-:class:`pcsft.variables.ClassicalVariable`: ``values`` / ``gradients``
+Every nonquadratic Hamiltonian is a
+:class:`pcsft.variables.ClassicalVariable`: ``NonquadraticHamiltonian``
+is the subclass whose gradient is guaranteed to exist, and any variable
+with a gradient can be integrated as it is. ``QuadraticHamiltonian``
+shares the same batch calling convention: ``values`` / ``gradients``
 act on (..., 2n) arrays of flattened phase points, while ``value`` /
 ``gradient`` take single :class:`PhaseVector` points.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +38,7 @@ from .symplectic import (
     CheckResult,
     ComplexOperator,
     PhaseVector,
+    _j_flat,
     is_j_commuting,
     real_to_complex,
 )
@@ -71,12 +75,6 @@ class IntegrationError(RuntimeError):
         self.step = step
         self.residual = residual
         self.rows = rows
-
-
-def _apply_j_flat(g: np.ndarray) -> np.ndarray:
-    # J(q, p) = (p, -q) on the flat layout, batched
-    n = g.shape[-1] // 2
-    return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,32 +118,30 @@ class QuadraticHamiltonian:
     def gradient(self, psi: PhaseVector) -> PhaseVector:
         return self.operator.apply(psi)
 
-    def as_variable(self) -> ClassicalVariable:
-        return ClassicalVariable.quadratic(self.operator)
 
+class NonquadraticHamiltonian(ClassicalVariable):
+    """Classical variable that is sure to have a gradient.
 
-@dataclass(frozen=True, eq=False)
-class NonquadraticHamiltonian:
-    """Hamiltonian given by value/gradient callbacks on flat batches."""
+    Built from value/gradient callbacks on (..., 2n) flat batches, or
+    from any variable with a gradient.
+    """
 
-    value_fn: Callable[[np.ndarray], np.ndarray]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.gradient_fn is None:
+    def __init__(self, value_fn, gradient_fn, n: int):
+        if gradient_fn is None:
             raise ValueError("integration requires a gradient callback")
-        object.__setattr__(self, "_variable", None)
+        super().__init__(value_fn=value_fn, gradient_fn=gradient_fn, n=n)
 
     @classmethod
     def from_variable(cls, v: ClassicalVariable) -> "NonquadraticHamiltonian":
+        """Same variable as a Hamiltonian: a structured source keeps its
+        terms (so integrate uses the fused field kernel), a black box its
+        callbacks."""
         if not v.has_gradient:
             raise ValueError("variable has no gradient; cannot serve as a Hamiltonian")
-        h = cls(v.values, v.gradients, v.n)
-        # a structured source lets integrate use the fused field kernel
-        object.__setattr__(h, "_variable", v)
+        h = cls.__new__(cls)
+        ClassicalVariable.__init__(
+            h, terms=v.terms, value_fn=v._value_fn, gradient_fn=v._gradient_fn, n=v.n
+        )
         return h
 
     @classmethod
@@ -153,18 +149,6 @@ class NonquadraticHamiltonian:
         """sum_k c_k (A psi, psi)^k; norm-preserving by construction since
         the gradient is pointwise proportional to A psi."""
         return cls.from_variable(ClassicalVariable.polynomial(op, coefficients))
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.value_fn(np.asarray(pts, dtype=float)), dtype=float)
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient_fn(np.asarray(pts, dtype=float)), dtype=float)
-
-    def value(self, psi: PhaseVector) -> float:
-        return float(self.values(psi.flat()[None, :])[0])
-
-    def gradient(self, psi: PhaseVector) -> PhaseVector:
-        return PhaseVector.from_flat(self.gradients(psi.flat()[None, :])[0])
 
 
 def q_squared_p() -> NonquadraticHamiltonian:
@@ -224,8 +208,8 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
         d, s = u_c.real, -u_c.imag
         u = BlockOperator.from_pair(d, s)
     else:
-        n = h.n
-        jh = np.vstack([h.operator.matrix[n:, :], -h.operator.matrix[:n, :]])
+        jh = np.empty_like(h.operator.matrix)
+        _j_flat(h.operator.matrix.T, out=jh.T)  # J acting on each column of H
         u = BlockOperator(scipy.linalg.expm(jh * t))
 
     h._flow_cache[key] = u
@@ -263,12 +247,6 @@ class Trajectory:
     def is_batch(self) -> bool:
         return self.states.ndim == 3
 
-    @property
-    def final_state(self):
-        if self.is_batch:
-            return self.states[-1]
-        return PhaseVector.from_flat(self.states[-1])
-
     def to_csv(self, path) -> None:
         """Write t, q_0..q_{n-1}, p_0..p_{n-1}, energy, norm rows.
 
@@ -302,8 +280,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate d psi/dt = J grad H(psi) with the implicit midpoint rule.
 
-    ``h`` is any object with ``values`` / ``gradients`` batch callables
-    (QuadraticHamiltonian, NonquadraticHamiltonian, ClassicalVariable).
+    ``h`` is a QuadraticHamiltonian or a ClassicalVariable with a
+    gradient (every NonquadraticHamiltonian is one), or any other object
+    with ``values`` / ``gradients`` batch callables.
     ``psi0`` is a PhaseVector, a flat (2n,) array, or a (..., 2n) batch.
 
     The step count is round(|t_final| / dt), so the effective step is
@@ -317,11 +296,13 @@ def integrate(
     The sweeps reuse work buffers allocated once per call and write each
     step straight into the stored states. The field dt * J grad H is
     built once per call: for a structured Hamiltonian (a
-    QuadraticHamiltonian, a structured ClassicalVariable, or a
-    NonquadraticHamiltonian made from one) it is one BLAS matmul per
+    QuadraticHamiltonian or a structured ClassicalVariable, such as
+    ``NonquadraticHamiltonian.polynomial``) it is one BLAS matmul per
     sweep against a precomputed [A | A J^T] block per distinct operator A,
     scaled row-wise by dt * 2 f'((A psi, psi)); any other ``h`` is
-    evaluated through its ``gradients`` callback.
+    evaluated through its ``gradients`` callback, to which
+    ``pcsft.symplectic._j_flat`` applies J. A ClassicalVariable rejects a
+    batch whose last axis is not 2n.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -391,22 +372,18 @@ def _field(h, dt, shape):
     of the given shape, built once per integrate call."""
     if isinstance(h, QuadraticHamiltonian):
         terms = [(0.5, h.operator, 1)]
+    elif isinstance(h, ClassicalVariable) and h.is_structured:
+        terms = [(t.coefficient, t.operator, t.power) for t in h.terms]
     else:
-        v = h._variable if isinstance(h, NonquadraticHamiltonian) else h
-        if not (isinstance(v, ClassicalVariable) and v.is_structured):
-            return partial(_callback_field, h, dt)
-        terms = [(t.coefficient, t.operator, t.power) for t in v.terms]
+        return partial(_callback_field, h, dt)
     if shape[-1] != 2 * h.n:
         raise ValueError(f"batch last axis must be 2n = {2 * h.n}, got {shape[-1]}")
     return _StructuredField(terms, dt, shape)
 
 
 def _callback_field(h, dt, pts, out):
-    # J(q, p) = (p, -q), written half by half into out
-    g = np.asarray(h.gradients(pts))
-    n = g.shape[-1] // 2
-    np.multiply(g[..., n:], dt, out=out[..., :n])
-    np.multiply(g[..., :n], -dt, out=out[..., n:])
+    _j_flat(np.asarray(h.gradients(pts)), out=out)
+    out *= dt
 
 
 class _StructuredField:
@@ -428,7 +405,7 @@ class _StructuredField:
             coeffs[k] = coeffs.get(k, 0.0) + c
         blocks, horners = [], []
         for a, coeffs in by_operator.values():
-            blocks += [a, _apply_j_flat(a)]  # row psi -> A psi, J A psi
+            blocks += [a, _j_flat(a)]  # row psi -> A psi, J A psi
             # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
             horners.append([2.0 * dt * k * coeffs.get(k, 0.0) for k in range(max(coeffs), 0, -1)])
         self._block = np.concatenate(blocks, axis=1)
@@ -513,7 +490,7 @@ def lift_variable(h, f0: ClassicalVariable, t: float, dt: Optional[float] = None
 def norm_preservation_defect(h, psi: PhaseVector) -> float:
     """Signed defect (J grad H(psi), psi); zero for norm-preserving flows."""
     g = h.gradients(psi.flat()[None, :])[0]
-    return float(_apply_j_flat(g) @ psi.flat())
+    return float(_j_flat(g) @ psi.flat())
 
 
 def flow_oddness_defect(h, psi: PhaseVector, t: float, dt: float = 1e-3) -> float:

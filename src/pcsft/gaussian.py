@@ -35,6 +35,7 @@ from .symplectic import (
     PhaseVector,
     complex_to_real,
     is_j_commuting,
+    real_to_complex,
 )
 
 __all__ = [
@@ -176,9 +177,6 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def as_operator(self) -> ComplexOperator:
-        return ComplexOperator(self.matrix)
-
 
 def dispersion(rho: GaussianState) -> float:
     """Covariance trace; equals the mean of the squared phase-space norm."""
@@ -263,8 +261,6 @@ def quadratic_average(rho: GaussianState, a) -> float:
             raise ValueError("dimension mismatch between state and operator")
         if not a.is_symmetric():
             raise ValueError("block operator must be symmetric")
-        from .symplectic import real_to_complex
-
         m_a = real_to_complex(a)
     elif isinstance(a, ComplexOperator):
         if a.n != rho.n:

@@ -327,6 +327,20 @@ def apply_j(psi: PhaseVector) -> PhaseVector:
     return PhaseVector(psi.p, -psi.q)
 
 
+def _j_flat(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """J on the last axis of a (..., 2n) flat batch: (q, p) -> (p, -q).
+
+    Writes into ``out`` when given (which must not overlap ``pts``);
+    negation is exact, so the result is bit for bit J pts.
+    """
+    n = pts.shape[-1] // 2
+    if out is None:
+        out = np.empty(pts.shape)
+    out[..., :n] = pts[..., n:]
+    np.negative(pts[..., :n], out=out[..., n:])
+    return out
+
+
 def j_commutation_defect(a: BlockOperator) -> float:
     """Max-norm of AJ - JA.
 

@@ -29,8 +29,8 @@ from .symplectic import (
     BlockOperator,
     CheckResult,
     PhaseVector,
+    _j_flat,
     is_j_commuting,
-    j_matrix,
 )
 
 __all__ = ["QuadraticTerm", "ClassicalVariable", "screen_variable"]
@@ -85,6 +85,8 @@ class ClassicalVariable:
         else:
             if n is None:
                 raise ValueError("black-box variables must declare the dimension n")
+            if n < 1:
+                raise ValueError("n must be at least 1")
         self._terms = terms
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
@@ -311,13 +313,9 @@ def screen_variable(
     at_zero = abs(float(f.values(np.zeros((1, dim)))[0]))
     even_defect = float(np.max(np.abs(f.values(-pts) - vals)))
 
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=probes)
-    j = j_matrix(f.n)
-    rotated = np.empty_like(pts)
-    for k, theta in enumerate(thetas):
-        # exp(theta J) = cos(theta) I + sin(theta) J, since J^2 = -I
-        rot = np.cos(theta) * np.eye(dim) + np.sin(theta) * j
-        rotated[k] = rot @ pts[k]
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(probes, 1))
+    # exp(theta J) = cos(theta) I + sin(theta) J, since J^2 = -I
+    rotated = np.cos(thetas) * pts + np.sin(thetas) * _j_flat(pts)
     rot_defect = float(np.max(np.abs(f.values(rotated) - vals)))
 
     return {

@@ -237,12 +237,37 @@ def test_integrator_diverges_with_huge_step():
         integrate(q_squared_p(), PhaseVector([1.0], [1.0]), 20.0, 10.0)
 
 
+def test_callback_hamiltonian_rejects_batch_of_wrong_width():
+    # q^2 p lives on n = 1: a 4-wide batch must not be read through its
+    # first two columns, nor integrated by broadcasting a 2-wide J grad H
+    h = q_squared_p()
+    with pytest.raises(ValueError, match=r"2n = 2, got 4"):
+        h.values(np.ones((3, 4)))
+    with pytest.raises(ValueError, match=r"2n = 2, got 4"):
+        integrate(h, 0.1 * np.ones((3, 4)), 0.1, 0.05)
+
+
+def test_nonquadratic_hamiltonian_keeps_its_source():
+    # from_variable keeps a structured source's terms (so integrate takes
+    # the fused kernel) and a black box's callbacks
+    op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
+    v = ClassicalVariable.polynomial(op, [0.5, 0.0, 0.125])
+    structured = NonquadraticHamiltonian.from_variable(v)
+    assert isinstance(structured, ClassicalVariable) and structured.terms == v.terms
+    black_box = NonquadraticHamiltonian.from_variable(ClassicalVariable.from_callbacks(v.values, v.gradients, n=2))
+    assert not black_box.is_structured and black_box.has_gradient
+    pts = np.random.default_rng(16).standard_normal((5, 4))
+    for h in (structured, black_box):
+        np.testing.assert_array_equal(h.values(pts), v.values(pts))
+        np.testing.assert_array_equal(h.gradients(pts), v.gradients(pts))
+
+
 def test_integration_error_names_the_failing_rows():
     # H = (psi, psi)^2: the fixed-point map contracts for small rows and
     # blows up for the large one, through the fused kernel and through
     # the same Hamiltonian's callbacks
     quartic = NonquadraticHamiltonian.polynomial(BlockOperator.identity(1), [0.0, 1.0])
-    black_box = NonquadraticHamiltonian(quartic.value_fn, quartic.gradient_fn, 1)
+    black_box = NonquadraticHamiltonian(quartic.values, quartic.gradients, 1)
     batch = np.array([[0.1, 0.0], [10.0, 0.0], [0.0, 0.2]])
     for h in (quartic, black_box):
         with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
@@ -302,7 +327,7 @@ def test_multi_axis_batch_matches_flat_rows():
     # every field path takes (..., 2n) batches; the rows do not interact
     op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
     poly = NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125])
-    black_box = NonquadraticHamiltonian(poly.value_fn, poly.gradient_fn, 2)
+    black_box = NonquadraticHamiltonian(poly.values, poly.gradients, 2)
     batch = 0.5 * np.random.default_rng(15).standard_normal((2, 3, 4))
     for h in _two_operator_variables() + [poly, black_box, QuadraticHamiltonian(op)]:
         grid = integrate(h, batch, 0.5, 0.05)

@@ -17,6 +17,7 @@ from pcsft.symplectic import (
     BlockOperator,
     ComplexOperator,
     PhaseVector,
+    _j_flat,
     apply_j,
     complex_to_real,
     hermitian_product,
@@ -148,6 +149,13 @@ def test_apply_j_matches_matrix(n):
     for _ in range(10):
         psi = PhaseVector.from_flat(rng.standard_normal(2 * n))
         np.testing.assert_allclose(apply_j(psi).flat(), j_matrix(n) @ psi.flat(), atol=1e-14)
+    # the flat-batch helper acts on the last axis, also into a transposed view
+    batch = rng.standard_normal((2, 4, 2 * n))
+    np.testing.assert_array_equal(_j_flat(batch), batch @ j_matrix(n).T)
+    square = rng.standard_normal((2 * n, 2 * n))
+    out = np.empty_like(square)
+    _j_flat(square.T, out=out.T)
+    np.testing.assert_array_equal(out, j_matrix(n) @ square)
 
 
 def test_j_matrix_is_j_commuting_and_antisymmetric():

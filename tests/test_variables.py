@@ -4,6 +4,7 @@ evaluation, gradients, Hessian at the origin, and black-box screening."""
 import numpy as np
 import pytest
 
+from pcsft.dynamics import NonquadraticHamiltonian
 from pcsft.symplectic import BlockOperator, PhaseVector, j_matrix
 from pcsft.variables import ClassicalVariable, QuadraticTerm, screen_variable
 
@@ -158,6 +159,18 @@ def test_screening_verdicts():
     assert not screen_variable(shifted, seed=6)["vanishes_at_origin"]
 
 
+def test_screen_rotation_matches_dense_exp_tj():
+    # the screen turns probe k by exp(theta_k J) = cos I + sin J, drawing
+    # the probes and then the angles; dense per-probe matrices are the reference
+    f = ClassicalVariable.from_callbacks(lambda pts: pts[..., 0] ** 2 + pts[..., 1] * pts[..., 2], n=2)
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((64, 4))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=64)
+    rotated = np.stack([(np.cos(t) * np.eye(4) + np.sin(t) * j_matrix(2)) @ p for t, p in zip(thetas, pts)])
+    defect = np.max(np.abs(f.values(rotated) - f.values(pts)))
+    assert screen_variable(f, seed=6)["j_invariant"].defect == pytest.approx(defect, rel=1e-12)
+
+
 def test_algebra_scaling_and_sum():
     rng = np.random.default_rng(7)
     a = random_admissible_operator(rng, 2)
@@ -194,3 +207,14 @@ def test_constructor_validation():
     f = ClassicalVariable.quadratic(identity_op(2))
     with pytest.raises(ValueError):
         f.values(np.zeros((3, 6)))
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ClassicalVariable.from_callbacks(lambda pts: pts[..., 0], n=n)
+    # a Hamiltonian is a variable whose gradient is sure to exist
+    value = lambda pts: pts[..., 0] ** 2
+    with pytest.raises(ValueError, match="gradient callback"):
+        NonquadraticHamiltonian(value, None, 1)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        NonquadraticHamiltonian(value, lambda pts: 2 * pts, 0)
+    with pytest.raises(ValueError, match="no gradient"):
+        NonquadraticHamiltonian.from_variable(ClassicalVariable.from_callbacks(value, n=1))
