@@ -25,7 +25,7 @@ forms of the variables go through BLAS.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -222,21 +222,7 @@ class CorrespondenceReport:
     conventions: dict
 
     def to_json(self) -> str:
-        payload = {
-            "alphas": list(self.alphas),
-            "classical_means": list(self.classical_means),
-            "classical_stderrs": list(self.classical_stderrs),
-            "quantum_value": self.quantum_value,
-            "errors": list(self.errors),
-            "error_stderrs": list(self.error_stderrs),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "fit_points": self.fit_points,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "conventions": self.conventions,
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self, path) -> None:
         write_csv(

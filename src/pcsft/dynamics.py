@@ -13,13 +13,14 @@ allocated once per call. For structured Hamiltonians (sums of powers of
 quadratic forms) the field dt J grad H is one fused BLAS kernel; any
 other Hamiltonian is evaluated through its ``gradients`` callback.
 
-Every nonquadratic Hamiltonian is a
-:class:`pcsft.variables.ClassicalVariable`: ``NonquadraticHamiltonian``
-is the subclass whose gradient is guaranteed to exist, and any variable
-with a gradient can be integrated as it is. ``QuadraticHamiltonian``
-shares the same batch calling convention: ``values`` / ``gradients``
-act on (..., 2n) arrays of flattened phase points, while ``value`` /
-``gradient`` take single :class:`PhaseVector` points.
+Every Hamiltonian is a :class:`pcsft.variables.ClassicalVariable`, so
+``values`` / ``gradients`` act on (..., 2n) batches of flattened phase
+points and ``value`` / ``gradient`` on single :class:`PhaseVector`
+points. ``QuadraticHamiltonian`` is the energy form of a symmetric
+kernel: structured when the kernel commutes with J, a black box with
+exact callbacks otherwise. ``NonquadraticHamiltonian`` is the subclass
+whose gradient is sure to exist, and any variable with a gradient can
+be integrated as it is.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .symplectic import (
     is_j_commuting,
     real_to_complex,
 )
-from .variables import ClassicalVariable, _quadratic_forms
+from .variables import ClassicalVariable, QuadraticTerm, _quadratic_forms
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -77,78 +78,63 @@ class IntegrationError(RuntimeError):
         self.rows = rows
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticHamiltonian:
-    """H(psi) = (1/2)(H psi, psi) for a symmetric kernel H."""
+class QuadraticHamiltonian(ClassicalVariable):
+    """H(psi) = (1/2)(H psi, psi) for a symmetric kernel H.
 
-    operator: BlockOperator
+    A J-commuting kernel is the structured term 0.5 (H psi, psi); any
+    other symmetric kernel is a black box with exact value and gradient
+    callbacks.
+    """
 
-    def __post_init__(self):
-        if not self.operator.is_symmetric():
+    def __init__(self, operator: BlockOperator):
+        if not operator.is_symmetric():
             raise ValueError(
                 f"Hamiltonian kernel must be symmetric "
-                f"(defect {self.operator.symmetry_defect():.3e})"
+                f"(defect {operator.symmetry_defect():.3e})"
             )
-        object.__setattr__(self, "_flow_cache", {})
+        self._operator = operator
+        if self.j_invariant:
+            super().__init__(terms=[QuadraticTerm(0.5, operator, 1)])
+        else:
+            a = operator.matrix
+            super().__init__(
+                value_fn=lambda pts: 0.5 * _quadratic_forms(pts, a),
+                gradient_fn=lambda pts: pts @ a,  # symmetric kernel
+                n=operator.n,
+            )
 
     @property
-    def n(self) -> int:
-        return self.operator.n
+    def operator(self) -> BlockOperator:
+        return self._operator
 
     @cached_property
     def j_invariant(self) -> CheckResult:
-        return is_j_commuting(self.operator)
+        return is_j_commuting(self._operator)
 
     @cached_property
     def _complex_eigensystem(self):
-        m = real_to_complex(self.operator)
+        m = real_to_complex(self._operator)
         return np.linalg.eigh(m.matrix)
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return 0.5 * _quadratic_forms(pts, self.operator.matrix)
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        return pts @ self.operator.matrix  # symmetric kernel
-
-    def value(self, psi: PhaseVector) -> float:
-        return float(self.values(psi.flat()))
-
-    def gradient(self, psi: PhaseVector) -> PhaseVector:
-        return self.operator.apply(psi)
 
 
 class NonquadraticHamiltonian(ClassicalVariable):
     """Classical variable that is sure to have a gradient.
 
-    Built from value/gradient callbacks on (..., 2n) flat batches, or
-    from any variable with a gradient.
+    Built from value/gradient callbacks on (..., 2n) flat batches, from
+    structured terms, or from any variable with a gradient.
     """
 
-    def __init__(self, value_fn, gradient_fn, n: int):
-        if gradient_fn is None:
-            raise ValueError("integration requires a gradient callback")
-        super().__init__(value_fn=value_fn, gradient_fn=gradient_fn, n=n)
+    def __init__(self, value_fn=None, gradient_fn=None, n=None, *, terms=None):
+        super().__init__(terms=terms, value_fn=value_fn, gradient_fn=gradient_fn, n=n)
+        if not self.has_gradient:
+            raise ValueError("variable has no gradient; integration requires a gradient callback")
 
     @classmethod
     def from_variable(cls, v: ClassicalVariable) -> "NonquadraticHamiltonian":
         """Same variable as a Hamiltonian: a structured source keeps its
         terms (so integrate uses the fused field kernel), a black box its
         callbacks."""
-        if not v.has_gradient:
-            raise ValueError("variable has no gradient; cannot serve as a Hamiltonian")
-        h = cls.__new__(cls)
-        ClassicalVariable.__init__(
-            h, terms=v.terms, value_fn=v._value_fn, gradient_fn=v._gradient_fn, n=v.n
-        )
-        return h
-
-    @classmethod
-    def polynomial(cls, op: BlockOperator, coefficients) -> "NonquadraticHamiltonian":
-        """sum_k c_k (A psi, psi)^k; norm-preserving by construction since
-        the gradient is pointwise proportional to A psi."""
-        return cls.from_variable(ClassicalVariable.polynomial(op, coefficients))
+        return cls(v._value_fn, v._gradient_fn, v.n, terms=v.terms)
 
 
 def q_squared_p() -> NonquadraticHamiltonian:
@@ -185,35 +171,24 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
       * "auto": spectral when the kernel commutes with J, else expm.
 
     The two explicit methods are genuinely independent code paths, which
-    the equivalence checks exploit. Results are cached per (t, method).
+    the equivalence checks exploit.
     """
     if method not in ("auto", "spectral", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    resolved = method
     if method == "auto":
-        resolved = "spectral" if h.j_invariant else "expm"
-    key = (float(t), resolved)
-    hit = h._flow_cache.get(key)
-    if hit is not None:
-        return hit
-
-    if resolved == "spectral":
-        if not h.j_invariant:
-            raise ValueError(
-                f"spectral flow needs a J-commuting kernel "
-                f"(defect {h.j_invariant.defect:.3e})"
-            )
-        w, v = h._complex_eigensystem
-        u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
-        d, s = u_c.real, -u_c.imag
-        u = BlockOperator.from_pair(d, s)
-    else:
+        method = "spectral" if h.j_invariant else "expm"
+    if method == "expm":
         jh = np.empty_like(h.operator.matrix)
         _j_flat(h.operator.matrix.T, out=jh.T)  # J acting on each column of H
-        u = BlockOperator(scipy.linalg.expm(jh * t))
-
-    h._flow_cache[key] = u
-    return u
+        return BlockOperator(scipy.linalg.expm(jh * t))
+    if not h.j_invariant:
+        raise ValueError(
+            f"spectral flow needs a J-commuting kernel "
+            f"(defect {h.j_invariant.defect:.3e})"
+        )
+    w, v = h._complex_eigensystem
+    u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
+    return BlockOperator.from_pair(u_c.real, -u_c.imag)
 
 
 def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
@@ -280,9 +255,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate d psi/dt = J grad H(psi) with the implicit midpoint rule.
 
-    ``h`` is a QuadraticHamiltonian or a ClassicalVariable with a
-    gradient (every NonquadraticHamiltonian is one), or any other object
-    with ``values`` / ``gradients`` batch callables.
+    ``h`` is a ClassicalVariable with a gradient (every Hamiltonian is
+    one), or any other object with ``values`` / ``gradients`` batch
+    callables.
     ``psi0`` is a PhaseVector, a flat (2n,) array, or a (..., 2n) batch.
 
     The step count is round(|t_final| / dt), so the effective step is
@@ -296,13 +271,13 @@ def integrate(
     The sweeps reuse work buffers allocated once per call and write each
     step straight into the stored states. The field dt * J grad H is
     built once per call: for a structured Hamiltonian (a
-    QuadraticHamiltonian or a structured ClassicalVariable, such as
-    ``NonquadraticHamiltonian.polynomial``) it is one BLAS matmul per
-    sweep against a precomputed [A | A J^T] block per distinct operator A,
-    scaled row-wise by dt * 2 f'((A psi, psi)); any other ``h`` is
-    evaluated through its ``gradients`` callback, to which
-    ``pcsft.symplectic._j_flat`` applies J. A ClassicalVariable rejects a
-    batch whose last axis is not 2n.
+    QuadraticHamiltonian with a J-commuting kernel, or any structured
+    variable such as ``NonquadraticHamiltonian.polynomial``) it is one
+    BLAS matmul per sweep against a precomputed [A | A J^T] block per
+    distinct operator A, scaled row-wise by dt * 2 f'((A psi, psi)); any
+    other ``h`` is evaluated through its ``gradients`` callback, to
+    which ``pcsft.symplectic._j_flat`` applies J. A ClassicalVariable
+    rejects a batch whose last axis is not 2n.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -370,15 +345,11 @@ def _midpoint_step(field, y, out, work, tol, max_iter, step_index) -> int:
 def _field(h, dt, shape):
     """The map field(pts, out): out = dt * J grad H(pts) on (..., 2n) batches
     of the given shape, built once per integrate call."""
-    if isinstance(h, QuadraticHamiltonian):
-        terms = [(0.5, h.operator, 1)]
-    elif isinstance(h, ClassicalVariable) and h.is_structured:
-        terms = [(t.coefficient, t.operator, t.power) for t in h.terms]
-    else:
+    if not (isinstance(h, ClassicalVariable) and h.is_structured):
         return partial(_callback_field, h, dt)
     if shape[-1] != 2 * h.n:
         raise ValueError(f"batch last axis must be 2n = {2 * h.n}, got {shape[-1]}")
-    return _StructuredField(terms, dt, shape)
+    return _StructuredField(h.terms, dt, shape)
 
 
 def _callback_field(h, dt, pts, out):
@@ -400,9 +371,9 @@ class _StructuredField:
         dim = shape[-1]
         rows = math.prod(shape[:-1])
         by_operator = {}  # id(operator) -> (matrix, {power: coefficient})
-        for c, op, k in terms:
-            coeffs = by_operator.setdefault(id(op), (op.matrix, {}))[1]
-            coeffs[k] = coeffs.get(k, 0.0) + c
+        for t in terms:
+            coeffs = by_operator.setdefault(id(t.operator), (t.operator.matrix, {}))[1]
+            coeffs[t.power] = coeffs.get(t.power, 0.0) + t.coefficient
         blocks, horners = [], []
         for a, coeffs in by_operator.values():
             blocks += [a, _j_flat(a)]  # row psi -> A psi, J A psi

@@ -705,6 +705,19 @@ def load_config(path) -> dict:
     return validate_config(payload)
 
 
+def _matches_default(value, default) -> bool:
+    """JSON type check against a parameter's default: a bool only for a
+    bool, an int for an int, an int or a float for a float, and for a
+    list, a list whose every element matches the default's first."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
 def validate_config(payload: dict) -> dict:
     name = payload.get("experiment")
     if not isinstance(name, str) or name not in REGISTRY:
@@ -730,23 +743,14 @@ def validate_config(payload: dict) -> dict:
         if key not in payload:
             continue
         value = payload[key]
-        if isinstance(default, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(default, int):
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif isinstance(default, float):
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            value = float(value)
-        elif isinstance(default, list):
-            ok = isinstance(value, list)
-        else:
-            ok = isinstance(value, type(default))
-        if not ok:
+        if not _matches_default(value, default):
+            kind = type(default).__name__
+            if isinstance(default, list):
+                kind += f" of {type(default[0]).__name__}"
             raise ConfigError(
-                f"parameter {key!r} must match the type of its default "
-                f"({type(default).__name__})"
+                f"parameter {key!r} must match the type of its default ({kind})"
             )
-        params[key] = value
+        params[key] = float(value) if isinstance(default, float) else value
     return {"experiment": name, "seed": seed, "out_dir": out_dir, "params": params}
 
 

@@ -35,6 +35,9 @@ from .symplectic import (
 
 __all__ = ["QuadraticTerm", "ClassicalVariable", "screen_variable"]
 
+_HESSIAN_STEP = 1e-4  # finite-difference step of a black box's hessian_at_zero
+_SCREEN_PROBES = 64  # random points per screen_variable check
+
 
 def _quadratic_forms(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row-wise (A psi, psi) over a (..., 2n) batch, in ROW_BLOCK blocks."""
@@ -194,16 +197,16 @@ class ClassicalVariable:
 
     # -- calculus at the origin ----------------------------------------
 
-    def hessian_at_zero(self, step: float | None = None) -> BlockOperator:
+    def hessian_at_zero(self) -> BlockOperator:
         """Second derivative matrix f''(0).
 
         Analytic for structured variables (only power-1 terms contribute).
         Black boxes use central differences of the gradient when a
         gradient callback exists, otherwise second differences of values;
-        default step 1e-4 (round-off in the double difference scales with
-        the values near the origin, which vanish for this class, so
-        truncation dominates and a small step is safe). The result is
-        symmetrised.
+        the step is ``_HESSIAN_STEP`` (round-off in the double difference
+        scales with the values near the origin, which vanish for this
+        class, so truncation dominates and a small step is safe). The
+        result is symmetrised.
         """
         dim = 2 * self._n
         if self._terms is not None:
@@ -212,13 +215,12 @@ class ClassicalVariable:
                 if t.power == 1:
                     h += 2.0 * t.coefficient * t.operator.matrix
             return BlockOperator(h)
+        step = _HESSIAN_STEP
         if self._gradient_fn is not None:
-            step = 1e-4 if step is None else step
             probes = np.concatenate([np.eye(dim) * step, -np.eye(dim) * step])
             grads = self.gradients(probes)
             h = (grads[:dim] - grads[dim:]).T / (2.0 * step)
         else:
-            step = 1e-4 if step is None else step
             h = np.empty((dim, dim))
             eye = np.eye(dim) * step
             for i in range(dim):
@@ -285,15 +287,10 @@ class ClassicalVariable:
         return pts
 
 
-def screen_variable(
-    f: ClassicalVariable,
-    seed: int = 0,
-    probes: int = 64,
-    scale: float = 1.0,
-) -> dict:
+def screen_variable(f: ClassicalVariable, seed: int = 0) -> dict:
     """Randomised screening of projectable-class membership.
 
-    Checks, on random probe points of radius ~ ``scale``:
+    Checks, on ``_SCREEN_PROBES`` standard normal probe points:
 
     * ``vanishes_at_origin``: |f(0)| small,
     * ``even``: f(-psi) = f(psi),
@@ -306,14 +303,14 @@ def screen_variable(
     """
     rng = np.random.default_rng(seed)
     dim = 2 * f.n
-    pts = rng.standard_normal((probes, dim)) * scale
+    pts = rng.standard_normal((_SCREEN_PROBES, dim))
     vals = f.values(pts)
     ref = float(np.max(np.abs(vals)))
 
     at_zero = abs(float(f.values(np.zeros((1, dim)))[0]))
     even_defect = float(np.max(np.abs(f.values(-pts) - vals)))
 
-    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(probes, 1))
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(_SCREEN_PROBES, 1))
     # exp(theta J) = cos(theta) I + sin(theta) J, since J^2 = -I
     rotated = np.cos(thetas) * pts + np.sin(thetas) * _j_flat(pts)
     rot_defect = float(np.max(np.abs(f.values(rotated) - vals)))

@@ -29,6 +29,7 @@ from pcsft.dynamics import (
     q_squared_p,
     schrodinger_flow,
 )
+from pcsft.bridge import project_variable
 from pcsft.fieldlab import FieldGrid, KernelOperator
 from pcsft.gaussian import GaussianState, quadratic_average
 from pcsft.symplectic import (
@@ -40,7 +41,7 @@ from pcsft.symplectic import (
     poisson_bracket,
     real_to_complex,
 )
-from pcsft.variables import ClassicalVariable
+from pcsft.variables import ClassicalVariable, QuadraticTerm
 
 
 def random_j_commuting_hamiltonian(rng, n):
@@ -145,6 +146,54 @@ def test_flow_method_validation():
         linear_flow(h, 0.1, method="cayley")
     with pytest.raises(ValueError):
         QuadraticHamiltonian(BlockOperator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+
+def test_quadratic_hamiltonian_is_a_variable():
+    rng = np.random.default_rng(12)
+    h = random_j_commuting_hamiltonian(rng, 3)
+    assert isinstance(h, ClassicalVariable)
+    assert h.is_structured
+    np.testing.assert_array_equal(
+        project_variable(h).matrix, (real_to_complex(h.operator) * 0.5).matrix
+    )
+    # a kernel that does not commute with J is a black box outside the
+    # projectable class, with the same exact values and gradients
+    a = BlockOperator(np.diag([1.0, 4.0]))
+    off = QuadraticHamiltonian(a)
+    assert isinstance(off, ClassicalVariable) and not off.is_structured
+    with pytest.raises(ValueError):
+        project_variable(off)
+    psi = PhaseVector([1.0], [-2.0])
+    assert off.value(psi) == pytest.approx(8.5)
+    np.testing.assert_allclose(off.gradient(psi).flat(), [1.0, -8.0])
+
+
+def test_linear_flow_keeps_no_state():
+    def state(h):  # each attribute, and the size of any container it is
+        return {
+            k: (v, len(v) if isinstance(v, (dict, list, set)) else None)
+            for k, v in vars(h).items()
+        }
+
+    rng = np.random.default_rng(13)
+    for h in (random_j_commuting_hamiltonian(rng, 2), random_symmetric_hamiltonian(rng, 2)):
+        first = linear_flow(h, 0.25).matrix  # warm-up: fills the cached properties
+        before = state(h)
+        for t in np.linspace(0.01, 1.0, 100):
+            linear_flow(h, t)
+        after = state(h)
+        assert after.keys() == before.keys()
+        assert all(after[k][0] is v and after[k][1] == size for k, (v, size) in before.items())
+        np.testing.assert_array_equal(linear_flow(h, 0.25).matrix, first)
+
+
+def test_nonquadratic_hamiltonian_inherited_constructors():
+    op = BlockOperator.identity(1)
+    h = NonquadraticHamiltonian.quadratic(op)
+    assert type(h) is NonquadraticHamiltonian and h.is_structured
+    h = NonquadraticHamiltonian.from_terms([QuadraticTerm(1.0, op, 2)])
+    assert type(h) is NonquadraticHamiltonian and h.is_structured
+    assert h.value(PhaseVector([1.0], [1.0])) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,22 @@ class TestConfigValidation:
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="count"):
             validate_config({"experiment": "alpha-scan", "seed": 1, "count": "many"})
+        # list elements must match the default's element type, bools never
+        bad = [
+            ("field-spectrum", "grid_sizes", [64.5, 128, 256], "list of int"),
+            ("schrodinger-equivalence", "times", [True, 0.9, 1.6], "list of float"),
+            ("alpha-scan", "alphas", ["x"], "list of float"),
+        ]
+        for name, key, value, kind in bad:
+            with pytest.raises(ConfigError, match=f"'{key}'.*{kind}"):
+                validate_config({"experiment": name, "seed": 1, key: value})
 
     def test_int_accepted_for_float(self):
         cfg = validate_config({"experiment": "norm-audit", "seed": 1, "t_final": 1})
         assert cfg["params"]["t_final"] == 1.0
+        # list elements are not coerced, so the config hash sees the given JSON
+        cfg = validate_config({"experiment": "schrodinger-equivalence", "seed": 1, "times": [1, 0.5]})
+        assert cfg["params"]["times"] == [1, 0.5] and type(cfg["params"]["times"][0]) is int
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -239,6 +251,9 @@ class TestCli:
 
     def test_run_config_error_exit_two(self, tmp_path, capsys):
         cfg = self._write(tmp_path, {"experiment": "norm-audit", "seed": 3, "oops": 1})
+        assert main(["run", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        cfg = self._write(tmp_path, {"experiment": "alpha-scan", "seed": 3, "alphas": ["x"]})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
