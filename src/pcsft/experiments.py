@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -80,26 +80,11 @@ class ReportRecord:
         return all(m.passed for m in self.metrics)
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "parameters": self.parameters,
-            "conventions": self.conventions,
-            "metrics": [
-                {
-                    "name": m.name,
-                    "value": m.value,
-                    "stderr": m.stderr,
-                    "tolerance": m.tolerance,
-                    "comparison": m.comparison,
-                    "passed": m.passed,
-                }
-                for m in self.metrics
-            ],
-            "passed": self.passed,
-        }
+        payload = asdict(self)
+        del payload["duration_seconds"]
+        for row, m in zip(payload["metrics"], self.metrics):
+            row["passed"] = m.passed
+        payload.update(schema_version=SCHEMA_VERSION, passed=self.passed)
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv(self, path) -> None:
@@ -161,6 +146,8 @@ def _run_schrodinger_equivalence(params, seed, out_dir):
     rng = np.random.default_rng(seed)
     n = int(params["dimension"])
     times = [float(t) for t in params["times"]]
+    if len(times) < 2:
+        raise ConfigError("times must list at least two times for the group law")
     method_defect = 0.0
     dictionary_defect = 0.0
     isometry_defect = 0.0
@@ -365,12 +352,15 @@ def _run_purestate_sampling(params, seed, out_dir):
 
 
 def _run_alpha_scan(params, seed, out_dir):
+    alphas = [float(a) for a in params["alphas"]]
+    if not all(a > 0 for a in alphas):
+        raise ConfigError("alphas must be positive")
     f = _quartic_benchmark()
     shape = gaussian.GaussianState.isotropic(1, 1.0)
     report = bridge.alpha_scan(
         f,
         shape,
-        alphas=[float(a) for a in params["alphas"]],
+        alphas=alphas,
         seed=seed,
         count=int(params["count"]),
     )
@@ -750,6 +740,8 @@ def validate_config(payload: dict) -> dict:
             raise ConfigError(
                 f"parameter {key!r} must match the type of its default ({kind})"
             )
+        if isinstance(default, list) and not value:  # every list default is nonempty
+            raise ConfigError(f"parameter {key!r} must not be an empty list")
         params[key] = float(value) if isinstance(default, float) else value
     return {"experiment": name, "seed": seed, "out_dir": out_dir, "params": params}
 

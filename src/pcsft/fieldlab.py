@@ -28,7 +28,7 @@ import numpy as np
 from ._csvio import write_csv
 from .bridge import MonteCarloEstimate, classical_average
 from .gaussian import GaussianState, pure_state_measure
-from .symplectic import CheckResult, ComplexOperator, complex_to_real
+from .symplectic import ComplexOperator, complex_to_real
 from .variables import ClassicalVariable
 
 __all__ = [
@@ -145,10 +145,7 @@ class KernelOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if not np.isfinite(m).all():
-            raise ValueError("kernel entries must be finite")
-        m = _kernel_matrix(m, self.grid.n_points)
+        m = _kernel_matrix(np.array(self.matrix, dtype=float), self.grid.n_points)
         m = (m + m.T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -220,13 +217,14 @@ def _coerce_kernel(r, grid: FieldGrid) -> np.ndarray:
 
 
 def _kernel_matrix(r, n: int) -> np.ndarray:
-    """n x n matrix of a kernel, checked hermitian relative to its scale."""
+    """n x n matrix of a kernel, checked finite and hermitian relative to
+    its scale by :class:`ComplexOperator`."""
     mat = r.matrix if isinstance(r, (KernelOperator, ComplexOperator)) else np.asarray(r)
     if mat.shape != (n, n):
         raise ValueError(f"kernel must be {n} x {n}, got {mat.shape}")
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if not CheckResult.within(defect, float(np.max(np.abs(mat)))):
-        raise ValueError(f"kernel must be hermitian (defect {defect:.3e})")
+    herm = ComplexOperator(mat).is_hermitian()
+    if not herm:
+        raise ValueError(f"kernel must be hermitian (defect {herm.defect:.3e})")
     return mat
 
 
@@ -237,13 +235,8 @@ def free_field_evolve(psi0: FieldState, t: float) -> FieldState:
 
 def interacting_evolve(psi0: FieldState, r, t: float) -> FieldState:
     """Evolve by exp(-iRt) for a symmetric kernel R."""
-    if isinstance(r, KernelOperator):
-        if r.grid != psi0.grid:
-            raise ValueError("kernel grid does not match the field grid")
-        w, v = r.eigensystem
-    else:
-        mat = _coerce_kernel(r, psi0.grid)
-        w, v = np.linalg.eigh(mat)
+    mat = _coerce_kernel(r, psi0.grid)
+    w, v = r.eigensystem if isinstance(r, KernelOperator) else np.linalg.eigh(mat)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return FieldState(psi0.grid, u @ psi0.values)
 

@@ -62,29 +62,23 @@ ROW_BLOCK = 4096
 class GaussianState:
     """Zero-mean Gaussian measure with real covariance ``covariance``.
 
-    The matrix must be symmetric within ``DEFAULT_TOL`` relative to its
-    largest entry, and positive semidefinite within ``DEFAULT_TOL``
-    relative to its largest |eigenvalue| (see
-    :meth:`pcsft.symplectic.CheckResult.within`). Rank-deficient
-    covariances are allowed; they describe measures supported on a
-    subspace. The ``eigh`` that checks positivity is kept for sampling,
-    so a state is decomposed once.
+    The matrix is validated as a :class:`BlockOperator` (finite,
+    2n x 2n, symmetric by :meth:`BlockOperator.is_symmetric`) and must be
+    positive semidefinite within ``DEFAULT_TOL`` relative to its largest
+    |eigenvalue| (see :meth:`pcsft.symplectic.CheckResult.within`).
+    Rank-deficient covariances are allowed; they describe measures
+    supported on a subspace. The ``eigh`` that checks positivity is kept
+    for sampling, so a state is decomposed once.
     """
 
     covariance: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.covariance, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if b.shape[0] % 2 != 0 or b.shape[0] < 2:
-            raise ValueError("covariance must be 2n x 2n with n >= 1")
-        if not np.isfinite(b).all():
-            raise ValueError("covariance entries must be finite")
-        sym_defect = float(np.max(np.abs(b - b.T)))
-        if not CheckResult.within(sym_defect, float(np.max(np.abs(b)))):
-            raise ValueError(f"covariance not symmetric (defect {sym_defect:.3e})")
-        b = (b + b.T) / 2.0  # remove round-off asymmetry before storing
+        op = BlockOperator(self.covariance)  # square, 2n x 2n, finite
+        sym = op.is_symmetric()
+        if not sym:
+            raise ValueError(f"covariance not symmetric (defect {sym.defect:.3e})")
+        b = (op.matrix + op.matrix.T) / 2.0  # remove round-off asymmetry before storing
         w, v = np.linalg.eigh(b)
         if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
             raise ValueError(f"covariance not positive semidefinite (min eig {w[0]:.3e})")
@@ -135,20 +129,20 @@ class GaussianState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive semidefinite, unit-trace complex matrix.
+
+    Shape, finiteness and hermiticity are checked by
+    :class:`ComplexOperator`.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("density operator must be a square matrix")
-        if not np.isfinite(m).all():
-            raise ValueError("density operator entries must be finite")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if not CheckResult.within(herm, float(np.max(np.abs(m)))):
-            raise ValueError(f"density operator not hermitian (defect {herm:.3e})")
-        m = (m + m.conj().T) / 2.0
+        op = ComplexOperator(self.matrix)  # square, n >= 1, finite
+        herm = op.is_hermitian()
+        if not herm:
+            raise ValueError(f"density operator not hermitian (defect {herm.defect:.3e})")
+        m = (op.matrix + op.matrix.conj().T) / 2.0
         tr = complex(np.trace(m))
         if not CheckResult.within(abs(tr - 1.0), 1.0):
             raise ValueError(f"density operator trace {tr} is not 1")
@@ -245,8 +239,7 @@ def pushforward(rho: GaussianState, u: BlockOperator) -> GaussianState:
     """Image measure under the linear map u: covariance U B U^T."""
     if u.n != rho.n:
         raise ValueError(f"dimension mismatch: state n={rho.n}, operator n={u.n}")
-    b = u.matrix @ rho.covariance @ u.matrix.T
-    return GaussianState((b + b.T) / 2.0)
+    return GaussianState(u.matrix @ rho.covariance @ u.matrix.T)
 
 
 def quadratic_average(rho: GaussianState, a) -> float:
@@ -256,21 +249,17 @@ def quadratic_average(rho: GaussianState, a) -> float:
     hermitian :class:`ComplexOperator`; the mean equals the complex trace
     of (complex covariance of rho) times (complex image of A).
     """
+    if not isinstance(a, (BlockOperator, ComplexOperator)):
+        raise TypeError("expected BlockOperator or ComplexOperator")
+    if a.n != rho.n:
+        raise ValueError("dimension mismatch between state and operator")
     if isinstance(a, BlockOperator):
-        if a.n != rho.n:
-            raise ValueError("dimension mismatch between state and operator")
         if not a.is_symmetric():
             raise ValueError("block operator must be symmetric")
-        m_a = real_to_complex(a)
-    elif isinstance(a, ComplexOperator):
-        if a.n != rho.n:
-            raise ValueError("dimension mismatch between state and operator")
-        if not a.is_hermitian():
-            raise ValueError("complex operator must be hermitian")
-        m_a = a
-    else:
-        raise TypeError("expected BlockOperator or ComplexOperator")
-    value = complex(np.trace(complex_covariance(rho).matrix @ m_a.matrix))
+        a = real_to_complex(a)
+    elif not a.is_hermitian():
+        raise ValueError("complex operator must be hermitian")
+    value = complex(np.trace(complex_covariance(rho).matrix @ a.matrix))
     if not CheckResult.within(abs(value.imag), abs(value)):
         raise ValueError(f"trace average unexpectedly non-real: {value}")
     return value.real

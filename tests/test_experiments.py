@@ -256,6 +256,21 @@ class TestCli:
         cfg = self._write(tmp_path, {"experiment": "alpha-scan", "seed": 3, "alphas": ["x"]})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+        # well-typed but out-of-range lists: empty, non-positive alphas,
+        # too few times for the group law
+        for name, key, value in [
+            ("alpha-scan", "alphas", []),
+            ("alpha-scan", "alphas", [-0.1, 0.01]),
+            ("alpha-scan", "alphas", [0.1, 0]),
+            ("schrodinger-equivalence", "times", []),
+            ("schrodinger-equivalence", "times", [0.3]),
+            ("oddness-audit", "times", []),
+            ("dispersion-preservation", "times", []),
+            ("field-spectrum", "grid_sizes", []),
+        ]:
+            cfg = self._write(tmp_path, {"experiment": name, "seed": 3, key: value})
+            assert main(["run", cfg]) == 2, (name, key, value)
+            assert "config error" in capsys.readouterr().err
 
     def test_run_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

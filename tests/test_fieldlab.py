@@ -118,6 +118,15 @@ def test_kernel_construction_and_validation():
         KernelOperator.mass(g, 0.0)
     with pytest.raises(ValueError):
         KernelOperator.dense(g, np.arange(64.0).reshape(8, 8))  # not symmetric
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(8)
+        m[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            KernelOperator.dense(g, m)
+    with pytest.raises(ValueError, match="8 x 8"):
+        KernelOperator.dense(g, np.eye(8)[:, :7])  # non-square
+    with pytest.raises(ValueError, match="8 x 8"):
+        KernelOperator.dense(g, np.ones(8))  # one-dimensional
     with pytest.raises(ValueError):
         pot + KernelOperator.mass(periodic_grid(16), 1.0)  # different grids
 

@@ -61,6 +61,13 @@ def test_validation_rejects_bad_covariances():
         GaussianState(np.diag([1.0, -0.5]))  # indefinite
     with pytest.raises(ValueError):
         GaussianState(np.zeros((3, 3)))  # odd size
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(np.diag([1.0, bad]))
+    with pytest.raises(ValueError, match="square"):
+        GaussianState(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="square"):
+        GaussianState(np.ones(4))
     # zero covariance is a legal degenerate point mass
     z = GaussianState(np.zeros((2, 2)))
     assert z.alpha == 0.0
@@ -406,6 +413,15 @@ def test_density_operator_validation():
         DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="square"):
+        DensityOperator(np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="square"):
+        DensityOperator(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="at least 1"):
+        DensityOperator(np.zeros((0, 0)))
     d = DensityOperator.maximally_mixed(4)
     assert d.purity() == pytest.approx(0.25)
     psi = np.array([1.0, 1j]) / np.sqrt(2)
