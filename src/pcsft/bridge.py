@@ -169,8 +169,7 @@ def von_neumann_evolve(d: DensityOperator, m: ComplexOperator, t: float) -> Dens
     """Density operator at time t: exp(-iMt) D exp(iMt)."""
     if d.n != m.n:
         raise ValueError("dimension mismatch between density operator and generator")
-    u = schrodinger_flow(m, t).matrix
-    return DensityOperator(u @ d.matrix @ u.conj().T)
+    return d._conjugated(schrodinger_flow(m, t).matrix)
 
 
 def check_linearity(

@@ -353,8 +353,6 @@ def _run_purestate_sampling(params, seed, out_dir):
 
 def _run_alpha_scan(params, seed, out_dir):
     alphas = [float(a) for a in params["alphas"]]
-    if not all(a > 0 for a in alphas):
-        raise ConfigError("alphas must be positive")
     f = _quartic_benchmark()
     shape = gaussian.GaussianState.isotropic(1, 1.0)
     report = bridge.alpha_scan(
@@ -679,6 +677,20 @@ def list_experiments() -> list:
 
 _GLOBAL_KEYS = {"experiment", "seed", "out_dir"}
 
+_POSITIVE = (lambda v: v > 0, "positive")
+# Range of each numeric parameter (every entry, for a list), by name: a
+# name means the same quantity in every experiment that takes it.
+_RANGES = {
+    "dimension": (lambda v: v >= 1, "at least 1"),
+    "trials": (lambda v: v >= 1, "at least 1"),
+    "count": (lambda v: v >= 2, "at least 2 (a standard error needs two rows)"),
+    "n_points": (lambda v: v >= 2, "at least 2"),
+    "grid_sizes": (lambda v: v >= 2, "at least 2"),
+    "t_final": (lambda v: v != 0, "nonzero"),
+    "poly_t_final": (lambda v: v != 0, "nonzero"),
+    **dict.fromkeys(["alpha", "alphas", "dt", "poly_dt", "eps", "length", "mass"], _POSITIVE),
+}
+
 
 def load_config(path) -> dict:
     """Read and validate an experiment configuration file."""
@@ -742,6 +754,9 @@ def validate_config(payload: dict) -> dict:
             )
         if isinstance(default, list) and not value:  # every list default is nonempty
             raise ConfigError(f"parameter {key!r} must not be an empty list")
+        in_range, what = _RANGES.get(key, (None, ""))
+        if in_range and not all(map(in_range, value if isinstance(value, list) else [value])):
+            raise ConfigError(f"parameter {key!r} must be {what}, got {value!r}")
         params[key] = float(value) if isinstance(default, float) else value
     return {"experiment": name, "seed": seed, "out_dir": out_dir, "params": params}
 

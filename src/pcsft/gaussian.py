@@ -138,7 +138,17 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        op = ComplexOperator(self.matrix)  # square, n >= 1, finite
+        m = self._hermitian_unit_trace(self.matrix)
+        w = np.linalg.eigvalsh(m)
+        if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
+            raise ValueError("density operator not positive semidefinite")
+        object.__setattr__(self, "matrix", m)
+
+    @staticmethod
+    def _hermitian_unit_trace(matrix) -> np.ndarray:
+        """Check shape, finiteness, hermiticity and unit trace; return the
+        read-only hermitian part."""
+        op = ComplexOperator(matrix)  # square, n >= 1, finite
         herm = op.is_hermitian()
         if not herm:
             raise ValueError(f"density operator not hermitian (defect {herm.defect:.3e})")
@@ -146,11 +156,15 @@ class DensityOperator:
         tr = complex(np.trace(m))
         if not CheckResult.within(abs(tr - 1.0), 1.0):
             raise ValueError(f"density operator trace {tr} is not 1")
-        w = np.linalg.eigvalsh(m)
-        if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
-            raise ValueError("density operator not positive semidefinite")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
+
+    def _conjugated(self, u: np.ndarray) -> "DensityOperator":
+        """u D u^H for a unitary u, with no eigvalsh: a unitary conjugate
+        has the spectrum D was already checked with."""
+        out = object.__new__(DensityOperator)
+        object.__setattr__(out, "matrix", self._hermitian_unit_trace(u @ self.matrix @ u.conj().T))
+        return out
 
     @property
     def n(self) -> int:

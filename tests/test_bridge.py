@@ -24,7 +24,7 @@ from pcsft.bridge import (
     quantum_average,
     von_neumann_evolve,
 )
-from pcsft.dynamics import QuadraticHamiltonian, linear_flow
+from pcsft.dynamics import QuadraticHamiltonian, linear_flow, schrodinger_flow
 from pcsft.gaussian import (
     DensityOperator,
     GaussianState,
@@ -214,6 +214,30 @@ def test_von_neumann_ode_and_purity():
     np.testing.assert_allclose(diff, commutator, atol=1e-6)
     evolved = von_neumann_evolve(d, m, 1.3)
     assert evolved.purity() == pytest.approx(d.purity(), abs=1e-10)
+
+
+def test_von_neumann_evolve_runs_no_eigvalsh(monkeypatch):
+    # a unitary conjugate keeps the spectrum the input was validated with,
+    # so evolving runs the flow's eigh and no eigvalsh, and still yields
+    # the matrix the validating constructor would
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    d = DensityOperator((x @ x.conj().T) / np.real(np.trace(x @ x.conj().T)))
+    hm = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = ComplexOperator((hm + hm.conj().T) / 2)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    evolved = von_neumann_evolve(d, m, 0.7)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    monkeypatch.undo()
+    u = schrodinger_flow(m, 0.7).matrix
+    np.testing.assert_array_equal(evolved.matrix, DensityOperator(u @ d.matrix @ u.conj().T).matrix)
+    assert isinstance(evolved, DensityOperator) and not evolved.matrix.flags.writeable
 
 
 def test_projection_commutes_with_evolution():

@@ -14,7 +14,9 @@ Oracles used here:
 import numpy as np
 import pytest
 
+from pcsft import dynamics
 from pcsft.dynamics import (
+    TILE,
     IntegrationError,
     NonquadraticHamiltonian,
     QuadraticHamiltonian,
@@ -327,6 +329,76 @@ def test_integration_error_names_the_failing_rows():
     with pytest.raises(IntegrationError) as err:
         integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1, max_iter=1)
     assert err.value.rows == [1]
+
+
+def _polynomial_hamiltonian():
+    op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
+    return NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125])
+
+
+def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
+    h = _polynomial_hamiltonian()
+    batch = 0.5 * np.random.default_rng(19).standard_normal((5, 4))
+    dt, steps = 0.05, 20
+    # Euler-only reference: a chain of one-step runs, each starting from
+    # the Euler guess as step 0 does
+    chain = [integrate(h, batch, dt, dt)]
+    for _ in range(steps - 1):
+        chain.append(integrate(h, chain[-1].states[-1], dt, dt))
+    euler_states = np.stack([batch] + [t.states[-1] for t in chain])
+    euler_sweeps = np.array([t.sweeps[0] for t in chain])
+    traj = integrate(h, batch, steps * dt, dt)
+    assert traj.dt == dt and not np.array_equal(traj.states, euler_states)
+
+    # a predictor with a non-finite row: every later step is redone from
+    # the Euler guess, bit for bit, and the wasted sweep is counted
+    extrapolate = dynamics._extrapolate
+
+    def nan_row(history, k, out):
+        extrapolate(history, k, out)
+        out[3] = np.nan
+
+    monkeypatch.setattr(dynamics, "_extrapolate", nan_row)
+    redone = integrate(h, batch, steps * dt, dt)
+    np.testing.assert_array_equal(redone.states, euler_states)
+    np.testing.assert_array_equal(redone.sweeps, euler_sweeps + (np.arange(steps) > 0))
+    monkeypatch.undo()
+
+    # a field that turns non-finite after step 0 fails both starts, and
+    # only then raises: one sweep from the extrapolated start, then the
+    # Euler guess at y_1 and its one sweep
+    step0 = 1 + chain[0].sweeps[0]
+    calls = []
+
+    def gradient(pts):
+        calls.append(pts.copy())
+        return h.gradients(pts) if len(calls) <= step0 else np.full(pts.shape, np.nan)
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(NonquadraticHamiltonian(h.values, gradient, 2), batch, steps * dt, dt)
+    assert err.value.step == 1 and err.value.rows == [0, 1, 2, 3, 4]
+    assert len(calls) == step0 + 3
+    np.testing.assert_allclose(calls[step0 + 1], euler_states[1], rtol=0, atol=1e-15)
+
+
+def test_row_blocks_integrate_alone():
+    # each block of TILE rows runs through every step on its own, so a
+    # batch equals its blocks integrated alone, bit for bit
+    h = _polynomial_hamiltonian()
+    batch = 0.3 * np.random.default_rng(20).standard_normal((2 * TILE + 37, 4))
+    whole = integrate(h, batch, 0.2, 0.02)
+    blocks = [integrate(h, batch[i : i + TILE], 0.2, 0.02) for i in range(0, len(batch), TILE)]
+    assert len(blocks) == 3
+    np.testing.assert_array_equal(whole.states, np.concatenate([b.states for b in blocks], axis=1))
+    np.testing.assert_array_equal(whole.sweeps, np.max([b.sweeps for b in blocks], axis=0))
+    # a row diverging in the third block is named by its global index
+    quartic = NonquadraticHamiltonian.polynomial(BlockOperator.identity(1), [0.0, 1.0])
+    rows = 0.1 * np.random.default_rng(21).standard_normal((2 * TILE + 37, 2))
+    rows[2 * TILE + 5] = [10.0, 0.0]
+    for h in (quartic, NonquadraticHamiltonian(quartic.values, quartic.gradients, 1)):
+        with pytest.raises(IntegrationError, match=rf"rows \[{2 * TILE + 5}\]") as err:
+            integrate(h, rows, 0.1, 0.1)
+        assert err.value.rows == [2 * TILE + 5] and err.value.step == 0
 
 
 def _two_operator_variables():

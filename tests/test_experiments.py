@@ -267,6 +267,23 @@ class TestCli:
             ("oddness-audit", "times", []),
             ("dispersion-preservation", "times", []),
             ("field-spectrum", "grid_sizes", []),
+            ("field-spectrum", "grid_sizes", [64, 1, 256]),
+            # out-of-range scalars: too few rows for a standard error, no
+            # dimension or grid, a zero step, a negative dispersion, and
+            # no trials (which would pass without testing anything)
+            ("dispersion-preservation", "count", 1),
+            ("oddness-audit", "count", 0),
+            ("field-correspondence", "count", 0),
+            ("norm-audit", "dimension", 0),
+            ("field-correspondence", "n_points", 1),
+            ("oddness-audit", "dt", 0.0),
+            ("norm-audit", "poly_dt", -0.01),
+            ("norm-audit", "t_final", 0.0),
+            ("heisenberg-check", "eps", 0.0),
+            ("dispersion-preservation", "alpha", -1.0),
+            ("oddness-audit", "alpha", 0.0),
+            ("field-spectrum", "mass", 0.0),
+            ("schrodinger-equivalence", "trials", 0),
         ]:
             cfg = self._write(tmp_path, {"experiment": name, "seed": 3, key: value})
             assert main(["run", cfg]) == 2, (name, key, value)
