@@ -409,7 +409,7 @@ def _field(h, dt, shape):
         return partial(_callback_field, h, dt)
     if shape[-1] != 2 * h.n:
         raise ValueError(f"batch last axis must be 2n = {2 * h.n}, got {shape[-1]}")
-    return _StructuredField(h.terms, dt, shape)
+    return _StructuredField(h._operators, h._grouping, dt, shape)
 
 
 def _callback_field(h, dt, pts, out):
@@ -421,24 +421,24 @@ class _StructuredField:
     """dt * J grad H for H = sum_A f_A((A psi, psi)), each f_A a polynomial.
 
     grad H = sum_A 2 f_A'(s_A) A psi with s_A = (A psi, psi). Each distinct
-    operator gets an [A | A J^T] block, whose product with a row gives
-    A psi (hence s_A) and J A psi at once, and a Horner rule for
-    dt * 2 f_A'(s_A). A sweep is then one matmul plus row-wise scaling,
+    operator of the variable's grouping gets an [A | A J^T] block, whose
+    product with a row gives A psi (hence s_A) and J A psi at once, and a
+    Horner rule for dt * 2 f_A'(s_A), its terms' coefficients summed per
+    power. A sweep is then one matmul plus row-wise scaling,
     all into buffers made here. Leading batch axes are flattened into rows.
     """
 
-    def __init__(self, terms, dt, shape):
+    def __init__(self, operators, grouping, dt, shape):
         dim = shape[-1]
         rows = math.prod(shape[:-1])
-        by_operator = {}  # id(operator) -> (matrix, {power: coefficient})
-        for t in terms:
-            coeffs = by_operator.setdefault(id(t.operator), (t.operator.matrix, {}))[1]
-            coeffs[t.power] = coeffs.get(t.power, 0.0) + t.coefficient
+        coeffs = [{} for _ in operators]  # per operator, {power: coefficient}
+        for i, c, k in grouping:
+            coeffs[i][k] = coeffs[i].get(k, 0.0) + c
         blocks, horners = [], []
-        for a, coeffs in by_operator.values():
+        for a, cs in zip(operators, coeffs):
             blocks += [a, _j_flat(a)]  # row psi -> A psi, J A psi
             # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
-            horners.append([2.0 * dt * k * coeffs.get(k, 0.0) for k in range(max(coeffs), 0, -1)])
+            horners.append([2.0 * dt * k * cs.get(k, 0.0) for k in range(max(cs), 0, -1)])
         self._block = np.concatenate(blocks, axis=1)
         self._prod = np.empty((rows, self._block.shape[1]))
         # per operator: its Horner coefficients and views of A psi, J A psi

@@ -443,6 +443,8 @@ def _run_oddness_audit(params, seed, out_dir):
     count = int(params["count"])
     alpha = float(params["alpha"])
     times = [float(t) for t in params["times"]]
+    if 0.0 in times:
+        raise ConfigError("times must be nonzero: the audit integrates to each one")
 
     op = _admissible_operator(rng, n)
     h_even = dynamics.NonquadraticHamiltonian.polynomial(op, [0.5, 0.1])

@@ -4,9 +4,12 @@ Two representations coexist behind one interface:
 
 * structured: a sum of powers of quadratic forms,
   f(psi) = sum_i c_i * (A_i psi, psi)^{k_i}, with every A_i symmetric
-  and J-commuting. Values, gradients and the Hessian at the origin are
-  analytic, and membership in the projectable class (f(0) = 0, even,
-  J-invariant) holds by construction.
+  and J-commuting. Values, gradients and Hessians are analytic, and
+  membership in the projectable class (f(0) = 0, even, J-invariant)
+  holds by construction. Terms are grouped once, at construction, by
+  operator identity (equal operators built separately stay distinct);
+  each evaluation computes an operator's image or form once, then adds
+  the terms in term order, so results equal a per-term sum bit for bit.
 * black box: value and optional gradient callbacks operating on batches
   of flattened phase points. Class membership can only be screened by
   random probes, and the Hessian at the origin falls back to central
@@ -85,6 +88,12 @@ class ClassicalVariable:
             if len(dims) > 1:
                 raise ValueError("all term operators must share one dimension")
             n = dims.pop()
+            # distinct operators by identity, in order of first appearance,
+            # and (operator index, coefficient, power) per term
+            matrices = {id(t.operator): t.operator.matrix for t in terms}
+            slot = {key: i for i, key in enumerate(matrices)}
+            self._operators = tuple(matrices.values())
+            self._grouping = tuple((slot[id(t.operator)], t.coefficient, t.power) for t in terms)
         else:
             if n is None:
                 raise ValueError("black-box variables must declare the dimension n")
@@ -154,13 +163,10 @@ class ClassicalVariable:
         """Evaluate on a batch; pts has shape (..., 2n)."""
         pts = self._check_batch(pts)
         if self._terms is not None:
+            forms = [_quadratic_forms(pts, a) for a in self._operators]
             out = np.zeros(pts.shape[:-1])
-            forms = {}  # polynomial terms share their operator
-            for t in self._terms:
-                form = forms.get(id(t.operator))
-                if form is None:
-                    form = forms[id(t.operator)] = _quadratic_forms(pts, t.operator.matrix)
-                out += t.coefficient * form**t.power
+            for i, c, k in self._grouping:
+                out += c * forms[i] ** k
             return out
         return np.asarray(self._value_fn(pts), dtype=float)
 
@@ -170,23 +176,10 @@ class ClassicalVariable:
     def gradients(self, pts: np.ndarray) -> np.ndarray:
         pts = self._check_batch(pts)
         if self._terms is not None:
+            images, forms = self._images(pts)
             out = np.zeros_like(pts)
-            images, forms = {}, {}  # polynomial terms share their operator
-            for t in self._terms:
-                key = id(t.operator)
-                a_pts = images.get(key)
-                if a_pts is None:
-                    # symmetric, so A psi row-wise
-                    a_pts = images[key] = pts @ t.operator.matrix
-                if t.power == 1:
-                    out += (2.0 * t.coefficient) * a_pts
-                else:
-                    form = forms.get(key)
-                    if form is None:
-                        form = forms[key] = np.einsum("...i,...i->...", pts, a_pts)
-                    out += (2.0 * t.coefficient * t.power) * form[..., None] ** (
-                        t.power - 1
-                    ) * a_pts
+            for i, c, k in self._grouping:
+                out += (2.0 * c * k) * forms[i][..., None] ** (k - 1) * images[i]
             return out
         if self._gradient_fn is None:
             raise ValueError("gradient unavailable: black-box variable without callback")
@@ -195,12 +188,32 @@ class ClassicalVariable:
     def gradient(self, psi: PhaseVector) -> PhaseVector:
         return PhaseVector.from_flat(self.gradients(psi.flat()[None, :])[0])
 
+    def hessians(self, pts: np.ndarray) -> np.ndarray:
+        """Second derivative matrices f''(psi) of a structured variable on a
+        (..., 2n) batch, as a (..., 2n, 2n) array.
+
+        A term c s^k with s = (A psi, psi) contributes
+        2ck s^(k-1) A + 4ck(k-1) s^(k-2) (A psi)(A psi)^T. Black boxes
+        raise ValueError.
+        """
+        if self._terms is None:
+            raise ValueError("hessians need a structured variable, not a black box")
+        pts = self._check_batch(pts)
+        images, forms = self._images(pts)
+        out = np.zeros(pts.shape + pts.shape[-1:])
+        for i, c, k in self._grouping:
+            s, a_pts = forms[i][..., None, None], images[i]
+            out += (2.0 * c * k) * s ** (k - 1) * self._operators[i]
+            if k > 1:
+                out += (4.0 * c * k * (k - 1)) * s ** (k - 2) * (a_pts[..., :, None] * a_pts[..., None, :])
+        return out
+
     # -- calculus at the origin ----------------------------------------
 
     def hessian_at_zero(self) -> BlockOperator:
         """Second derivative matrix f''(0).
 
-        Analytic for structured variables (only power-1 terms contribute).
+        Analytic for structured variables (:meth:`hessians` at the origin).
         Black boxes use central differences of the gradient when a
         gradient callback exists, otherwise second differences of values;
         the step is ``_HESSIAN_STEP`` (round-off in the double difference
@@ -210,11 +223,7 @@ class ClassicalVariable:
         """
         dim = 2 * self._n
         if self._terms is not None:
-            h = np.zeros((dim, dim))
-            for t in self._terms:
-                if t.power == 1:
-                    h += 2.0 * t.coefficient * t.operator.matrix
-            return BlockOperator(h)
+            return BlockOperator(self.hessians(np.zeros((1, dim)))[0])
         step = _HESSIAN_STEP
         if self._gradient_fn is not None:
             probes = np.concatenate([np.eye(dim) * step, -np.eye(dim) * step])
@@ -277,6 +286,11 @@ class ClassicalVariable:
     __rmul__ = __mul__
 
     # -- helpers ---------------------------------------------------------
+
+    def _images(self, pts):
+        """Per distinct operator: A psi (A is symmetric) and (A psi, psi)."""
+        images = [pts @ a for a in self._operators]
+        return images, [np.einsum("...i,...i->...", pts, a_pts) for a_pts in images]
 
     def _check_batch(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

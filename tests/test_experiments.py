@@ -265,6 +265,9 @@ class TestCli:
             ("schrodinger-equivalence", "times", []),
             ("schrodinger-equivalence", "times", [0.3]),
             ("oddness-audit", "times", []),
+            # oddness-audit integrates to each time, so none may be zero
+            ("oddness-audit", "times", [0.0, -0.3]),
+            ("oddness-audit", "times", [0.3, 0.0]),
             ("dispersion-preservation", "times", []),
             ("field-spectrum", "grid_sizes", []),
             ("field-spectrum", "grid_sizes", [64, 1, 256]),

@@ -1,12 +1,12 @@
 """Tests for classical variables: structured polynomial-of-quadratic-form
-evaluation, gradients, Hessian at the origin, and black-box screening."""
+evaluation, gradients, Hessians, and black-box screening."""
 
 import numpy as np
 import pytest
 
 from pcsft.dynamics import NonquadraticHamiltonian
-from pcsft.symplectic import BlockOperator, PhaseVector, j_matrix
-from pcsft.variables import ClassicalVariable, QuadraticTerm, screen_variable
+from pcsft.symplectic import FD_TOL, BlockOperator, PhaseVector, j_matrix
+from pcsft.variables import ClassicalVariable, QuadraticTerm, _quadratic_forms, screen_variable
 
 
 def identity_op(n):
@@ -19,6 +19,17 @@ def random_admissible_operator(rng, n):
     s = rng.standard_normal((n, n))
     s = (s - s.T) / 2
     return BlockOperator.from_pair(d, s)
+
+
+def interleaved_variable(rng, n):
+    """A, B, A terms, with power 2 on A twice: operators shared out of order."""
+    a = random_admissible_operator(rng, n)
+    b = random_admissible_operator(rng, n)
+    return (
+        ClassicalVariable.polynomial(a, [0.5, -0.3, 0.02])
+        + ClassicalVariable.quadratic(b)
+        + ClassicalVariable.polynomial(a, [0.0, 0.1])
+    )
 
 
 def test_quadratic_value_and_gradient():
@@ -58,13 +69,7 @@ def test_batch_values_match_single_evaluation():
 
 def test_gradients_with_shared_operators_match_per_term_reference():
     rng = np.random.default_rng(2)
-    a = random_admissible_operator(rng, 3)
-    b = random_admissible_operator(rng, 3)
-    f = (
-        ClassicalVariable.polynomial(a, [0.5, -0.3, 0.02])
-        + ClassicalVariable.quadratic(b)
-        + ClassicalVariable.polynomial(a, [0.0, 0.1])
-    )
+    f = interleaved_variable(rng, 3)
     pts = rng.standard_normal((3, 1500, 6))
     # reference: every term computes its own A psi and form
     ref = np.zeros_like(pts)
@@ -76,6 +81,35 @@ def test_gradients_with_shared_operators_match_per_term_reference():
             form = np.einsum("...i,...i->...", pts, a_pts)
             ref += (2.0 * t.coefficient * t.power) * form[..., None] ** (t.power - 1) * a_pts
     assert np.array_equal(f.gradients(pts), ref)
+    # values and the Hessian at the origin add their terms in term order too
+    ref = np.zeros(pts.shape[:-1])
+    for t in f.terms:
+        ref += t.coefficient * _quadratic_forms(pts, t.operator.matrix) ** t.power
+    assert np.array_equal(f.values(pts), ref)
+    ref = np.zeros((6, 6))
+    for t in f.terms:
+        if t.power == 1:
+            ref += 2.0 * t.coefficient * t.operator.matrix
+    assert np.array_equal(f.hessian_at_zero().matrix, ref)
+
+
+def test_hessians_match_differences_of_gradients():
+    rng = np.random.default_rng(8)
+    step = 1e-5
+    a = random_admissible_operator(rng, 2)
+    for f in (interleaved_variable(rng, 2), ClassicalVariable.polynomial(a, [0.5, 0.0, 0.125])):
+        for pts in (rng.standard_normal((5, 4)), rng.standard_normal((2, 3, 4))):
+            h = f.hessians(pts)
+            assert h.shape == pts.shape + (4,)
+            fd = np.empty_like(h)
+            for i in range(4):
+                e = np.zeros(4)
+                e[i] = step
+                fd[..., :, i] = (f.gradients(pts + e) - f.gradients(pts - e)) / (2 * step)
+            assert np.max(np.abs(h - fd)) <= FD_TOL * np.max(np.abs(h))
+    bb = ClassicalVariable.from_callbacks(f.values, f.gradients, n=2)
+    with pytest.raises(ValueError, match="structured"):
+        bb.hessians(np.zeros((1, 4)))
 
 
 def test_gradient_matches_finite_differences():
