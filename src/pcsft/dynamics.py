@@ -33,7 +33,6 @@ from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from ._csvio import write_csv
 from .symplectic import (
@@ -169,7 +168,8 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
         H; requires a J-commuting kernel. U_t is the real form of
         exp(-iMt).
       * "expm": Pade approximation of the real matrix exponential of
-        J H t; works for any symmetric kernel.
+        J H t by ``scipy.linalg.expm``, loaded on the first such call;
+        works for any symmetric kernel.
       * "auto": spectral when the kernel commutes with J, else expm.
 
     The two explicit methods are genuinely independent code paths, which
@@ -180,6 +180,8 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
     if method == "auto":
         method = "spectral" if h.j_invariant else "expm"
     if method == "expm":
+        import scipy.linalg
+
         jh = np.empty_like(h.operator.matrix)
         _j_flat(h.operator.matrix.T, out=jh.T)  # J acting on each column of H
         return BlockOperator(scipy.linalg.expm(jh * t))

@@ -16,7 +16,9 @@ matrix, which is how these measures project onto density operators (see
 Sampling is counter-based: a fixed (seed, start, count) triple always
 yields the same rows, and splitting a batch at any sample boundary
 reproduces the sequential stream bit for bit, for a fixed BLAS library
-and thread count.
+and thread count. The inverse normal CDF ``ndtri`` comes from
+``scipy.special``, loaded on the first call of :func:`ndtri`, so that
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .symplectic import (
     BlockOperator,
@@ -297,6 +298,14 @@ def _block_aligned_uniforms(seed: int, start: int, count: int, dim: int) -> np.n
     return u[:, :dim]
 
 
+def ndtri(x, out=None):
+    """Inverse of the standard normal CDF, elementwise:
+    ``scipy.special.ndtri``, imported on the first call."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(x, out=out)
+
+
 def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndarray:
     """Draw ``count`` points of rho as a (count, 2n) array.
 
@@ -311,7 +320,8 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     row goes through one BLAS matmul of a fixed shape at a fixed
     position: the ROW_BLOCK-row block that starts at a multiple of
     ROW_BLOCK in the global row index. Rows of a block outside the
-    request are zeros and cost no ``ndtri``.
+    request are zeros and cost no ``ndtri``. The first call loads
+    ``scipy.special``, where ``ndtri`` comes from.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")

@@ -85,6 +85,25 @@ def test_spectral_and_expm_flows_agree(n):
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
 
 
+def test_expm_flow_looks_up_scipy_expm_at_call_time(monkeypatch):
+    # perfbench's tracer counts dynamics.expm_calls by patching this attribute
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    h = random_symmetric_hamiltonian(np.random.default_rng(3), 2)
+    u = linear_flow(h, 0.7, method="expm")
+    assert calls == [(4, 4)]
+    jh = j_matrix(2) @ h.operator.matrix
+    assert np.array_equal(u.matrix, original(jh * 0.7))
+
+
 def test_flow_is_symplectic_and_group():
     rng = np.random.default_rng(5)
     h = random_symmetric_hamiltonian(rng, 2)  # generic, not J-commuting

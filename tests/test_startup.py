@@ -1,0 +1,59 @@
+"""Start-up cost: importing pcsft loads no scipy module.
+
+Every ``pcsft run`` is a fresh process, so what ``import pcsft`` loads is
+paid on every run. scipy is loaded only by the two calls that need it:
+``gaussian.sample`` (``scipy.special.ndtri``) and the "expm" method of
+``dynamics.linear_flow`` (``scipy.linalg.expm``). Each stage is checked
+in one fresh interpreter, because the test process has scipy loaded.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pcsft
+
+SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+stages = {}
+import pcsft, pcsft.cli
+stages["import"] = loaded()
+
+config, out = sys.argv[1], sys.argv[2]
+status = pcsft.cli.main(["run", config, "--out", out])
+stages["von-neumann-square"] = loaded()
+
+import numpy as np
+from pcsft import BlockOperator, GaussianState, QuadraticHamiltonian, linear_flow, sample
+sample(GaussianState(np.eye(2)), seed=1, count=3)
+stages["sample"] = loaded()
+
+linear_flow(QuadraticHamiltonian(BlockOperator(np.diag([1.0, 4.0]))), 0.3, "expm")
+stages["expm"] = loaded()
+print(json.dumps({"status": status, "stages": stages}))
+"""
+
+
+def test_scipy_loads_only_at_first_use(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "von-neumann-square", "seed": 1}))
+    env = {**os.environ, "PYTHONPATH": str(Path(pcsft.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(config), str(tmp_path / "reports")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    stages = result["stages"]
+    assert result["status"] == 0
+    assert stages["import"] == []
+    assert stages["von-neumann-square"] == []
+    assert "scipy.special" in stages["sample"]
+    assert "scipy.linalg" not in stages["sample"]
+    assert "scipy.linalg" in stages["expm"]
