@@ -18,8 +18,11 @@ Monte Carlo estimates read the counter-based sample stream in fixed
 4096-row chunks (``gaussian.ROW_BLOCK``, so each chunk is exactly one
 sample block) and merge the chunks' (count, mean, M2) triples. A given
 (seed, count) therefore produces the same estimate to the last bit for
-a fixed BLAS library and thread count; sample shaping and the quadratic
-forms of the variables go through BLAS.
+a fixed BLAS library and thread count. The stream is read in support
+coordinates: the r standard normals z of a row of a rank-r state,
+whose sample row is z F. Structured variables are evaluated there, each
+form (A psi, psi) as (F A F^T z, z) with an r x r matrix; only black
+boxes get shaped rows, from the same shaping code as ``sample``.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ from .gaussian import (
     ROW_BLOCK,
     DensityOperator,
     GaussianState,
+    _normals,
+    _shape,
+    _support_factor,
     complex_covariance,
     dispersion,
-    sample,
 )
 from .symplectic import FD_TOL, CheckResult, ComplexOperator, real_to_complex
-from .variables import ClassicalVariable, screen_variable
+from .variables import ClassicalVariable, _quadratic_forms, screen_variable
 
 __all__ = [
     "MonteCarloEstimate",
@@ -119,20 +124,41 @@ def amplify(f: ClassicalVariable, alpha: float) -> ClassicalVariable:
     return f.scaled(1.0 / alpha)
 
 
-def _reduce(columns, rho: GaussianState, seed: int, count: int) -> list:
-    """Monte Carlo estimates of the columns of ``columns(pts)`` over the
-    first ``count`` rows of the sample stream of (rho, seed).
+def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) -> list:
+    """Monte Carlo estimates over the first ``count`` rows of the sample
+    stream of (rho, seed): one per variable, or one per column of
+    ``columns(*values)`` when given, ``values`` being the variables'
+    values on a chunk.
 
-    The stream is read in fixed ROW_BLOCK-row chunks; each chunk's
+    The stream is read as support normals z in fixed ROW_BLOCK-row
+    chunks; a sample row is z F (:func:`pcsft.gaussian.sample`). A
+    structured variable is evaluated in support coordinates:
+    (A psi, psi) = (G z, z) with G = F A F^T, r x r for a rank-r state,
+    formed once per call. A black box gets the chunk's rows from the
+    shaping ``sample`` uses, so it sees the same bits. Each chunk's
     (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque 1979),
     so the spread survives a mean far larger than it.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
+    seed = int(seed)
+    factor = _support_factor(rho)
+    # each structured variable's distinct operators in support coordinates
+    support_ops = [
+        [factor @ a @ factor.T for a in f._operators] if f.is_structured else None
+        for f in variables
+    ]
     done, mean, m2 = 0, 0.0, 0.0
     while done < count:
         m = min(ROW_BLOCK, count - done)
-        cols = columns(sample(rho, seed, m, start=done))
+        z = _normals(rho, seed, m, done)
+        rows = _shape(z, factor, done) if any(ops is None for ops in support_ops) else None
+        values = [
+            f.values(rows) if ops is None else f._from_forms([_quadratic_forms(z, g) for g in ops])
+            for f, ops in zip(variables, support_ops)
+        ]
+        del z, rows  # free the chunk before the next one is drawn
+        cols = np.stack(values, axis=1) if columns is None else columns(*values)
         chunk_mean = cols.mean(axis=0)
         delta = chunk_mean - mean
         merged = done + m
@@ -151,7 +177,7 @@ def classical_average(
     Deterministic in (seed, count): samples come from the counter-based
     stream in fixed chunks, so reruns reproduce the estimate exactly.
     """
-    return _reduce(lambda pts: f.values(pts)[:, None], rho, seed, count)[0]
+    return _reduce([f], rho, seed, count)[0]
 
 
 def quantum_average(d: DensityOperator, a: ComplexOperator) -> float:
@@ -286,14 +312,13 @@ def alpha_scan(
     for i, alpha in enumerate(alphas):
         rho = GaussianState(shape.covariance * (alpha / base))
         sub = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1, np.uint64)[0])
-        f_amp = amplify(f, alpha)
-        q_amp = amplify(quad, alpha)
-
-        def columns(pts):
-            vals = f_amp.values(pts)
-            return np.stack([vals, vals - q_amp.values(pts)], axis=1)
-
-        classical, error = _reduce(columns, rho, sub, count)
+        classical, error = _reduce(
+            [amplify(f, alpha), amplify(quad, alpha)],
+            rho,
+            sub,
+            count,
+            lambda vals, quad_vals: np.stack([vals, vals - quad_vals], axis=1),
+        )
         classical_means.append(classical.mean)
         classical_stderrs.append(classical.stderr)
         errors.append(error.mean)

@@ -330,7 +330,7 @@ def _run_purestate_sampling(params, seed, out_dir):
     plane_defect = float(np.max(np.abs(residual)))
 
     z = pts[:, :n] + 1j * pts[:, n:]
-    empirical = (z[:, :, None] * z[:, None, :].conj()).mean(axis=0)
+    empirical = z.T @ z.conj() / count
     emp_defect = float(np.max(np.abs(empirical - alpha * np.outer(psi, psi.conj()))))
 
     mean_z = float(np.max(np.abs(pts.mean(axis=0)))) / np.sqrt(alpha / count)

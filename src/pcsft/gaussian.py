@@ -16,7 +16,11 @@ matrix, which is how these measures project onto density operators (see
 Sampling is counter-based: a fixed (seed, start, count) triple always
 yields the same rows, and splitting a batch at any sample boundary
 reproduces the sequential stream bit for bit, for a fixed BLAS library
-and thread count. The inverse normal CDF ``ndtri`` comes from
+and thread count. Only the covariance's support is drawn: when the
+Philox blocks that hold a row's support columns are a small share of
+the row's blocks, only those blocks are generated, each from its own
+counter, so a rank-2 state pays for 4 words per row instead of 2n. The
+inverse normal CDF ``ndtri`` comes from
 ``scipy.special``, loaded on the first call of :func:`ndtri`, so that
 importing this module loads no scipy.
 """
@@ -57,6 +61,15 @@ __all__ = [
 # its BLAS result independent of how a request is split, and the block
 # bounds temporary memory
 ROW_BLOCK = 4096
+
+# Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
+_LOW32 = (1 << 32) - 1
+# a word computed by counter costs about 8 drawn by numpy's generator, so
+# rows draw only their support blocks when those are at most this share
+_COUNTER_SHARE = 1 / 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +311,122 @@ def _block_aligned_uniforms(seed: int, start: int, count: int, dim: int) -> np.n
     return u[:, :dim]
 
 
+def _mulhilo(a: int, b: np.ndarray):
+    """High and low 64-bit words of a * b, for a constant a and uint64 b,
+    from 32-bit halves (numpy has no 128-bit product)."""
+    a_lo, a_hi = np.uint64(a & _LOW32), np.uint64(a >> 32)
+    b_lo, b_hi = b & np.uint64(_LOW32), b >> np.uint64(32)
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> np.uint64(32)) + (lo_hi & np.uint64(_LOW32)) + (hi_lo & np.uint64(_LOW32))
+    hi = a_hi * b_hi + (lo_hi >> np.uint64(32)) + (hi_lo >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, b * np.uint64(a)
+
+
+def _philox_blocks(seed: int, first: int, offsets) -> np.ndarray:
+    """The 4 words of blocks ``first + offsets`` of the Philox4x64-10
+    stream of ``np.random.Philox(key=seed)``, as an ``offsets.shape + (4,)``
+    uint64 array.
+
+    Philox is counter-based (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11): block b is the 10-round bijection of the
+    256-bit counter b + 1 under the 128-bit key ``seed``, so any block is
+    computed on its own. These are the words that ``advance(first +
+    offset)`` followed by ``random_raw(4)`` gives, the counter's carry
+    and the key's second word included.
+    """
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must be in [0, 2**128)")
+    offsets = np.asarray(offsets, dtype=np.uint64)
+    base = (first + 1) % (1 << 256)
+    low = np.uint64(base & _WORD) + offsets
+    carry = low < offsets
+    ctr = [low]
+    for shift in (64, 128, 192):
+        word = np.uint64((base >> shift) & _WORD) + carry
+        carry = carry & (word == 0)
+        ctr.append(word)
+    k0, k1 = seed & _WORD, seed >> 64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], ctr[0])
+        hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ np.uint64(k0), lo1, hi0 ^ ctr[3] ^ np.uint64(k1), lo0]
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _WORD, (k1 + _PHILOX_WEYL[1]) & _WORD
+    return np.stack(ctr, axis=-1)
+
+
+def _support_start(rho: GaussianState) -> int:
+    """First kept eigendirection of the covariance. Eigenvalues within
+    round-off of zero count as exact zeros, and ``eigh`` sorts ascending,
+    so the kept directions, the support, are a suffix."""
+    w = rho._eigensystem[0]
+    return len(w) - int(np.count_nonzero(w > 1e-14 * max(float(w[-1]), 0.0)))
+
+
+def _support_factor(rho: GaussianState) -> np.ndarray:
+    """The (r, 2n) factor F of the covariance on its rank-r support,
+    B = F^T F: a sample row is z F for r standard normals z."""
+    w, v = rho._eigensystem
+    low = _support_start(rho)
+    return (v[:, low:] * np.sqrt(w[low:])).T
+
+
+def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarray:
+    """The (count, r) support normals of rows start..start+count-1 of the
+    stream of (rho, seed): ``ndtri`` of the row's uniforms in the support
+    columns.
+
+    Row k owns Philox blocks k*b..k*b+b-1, b = ceil(2n/4). When the blocks
+    that hold the support columns are at most ``_COUNTER_SHARE`` of b,
+    only those are computed, by counter (:func:`_philox_blocks`);
+    otherwise numpy's generator draws every block of the rows
+    (:func:`_block_aligned_uniforms`). Both give the same words.
+    """
+    dim = 2 * rho.n
+    low = _support_start(rho)
+    if low == dim:
+        return np.empty((count, 0))
+    blocks, first = (dim + 3) // 4, low // 4
+    if blocks - first <= _COUNTER_SHARE * blocks:
+        offsets = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(blocks)
+        words = _philox_blocks(seed, start * blocks, offsets + np.arange(first, blocks, dtype=np.uint64))
+        # numpy's double from a word: its top 53 bits times 2^-53
+        u = (words.reshape(count, -1) >> np.uint64(11)) * (1.0 / (1 << 53))
+        support = slice(low - 4 * first, dim - 4 * first)
+    else:
+        u = _block_aligned_uniforms(seed, start, count, dim)
+        support = slice(low, dim)
+    # ndtri runs faster on contiguous rows than on the padded ones; a full
+    # row is already contiguous and needs no copy
+    z = np.ascontiguousarray(u[:, support])
+    del u
+    np.clip(z, np.finfo(float).tiny, None, out=z)
+    ndtri(z, out=z)
+    return z
+
+
+def _shape(z: np.ndarray, factor: np.ndarray, start: int) -> np.ndarray:
+    """Sample rows z F for the support normals of rows start..start+len(z)-1.
+
+    Every row goes through one BLAS matmul of a fixed shape at a fixed
+    position: the ROW_BLOCK-row block that starts at a multiple of
+    ROW_BLOCK in the global row index. Rows of a block outside the
+    request are zeros.
+    """
+    count = z.shape[0]
+    out = np.empty((count, factor.shape[1]))
+    stop = start + count
+    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
+        a, b = max(start, first), min(stop, first + ROW_BLOCK)
+        rows = slice(a - start, b - start)
+        if b - a == ROW_BLOCK:
+            np.matmul(z[rows], factor, out=out[rows])
+        else:
+            block = np.zeros((ROW_BLOCK, z.shape[1]))
+            block[a - first : b - first] = z[rows]
+            out[rows] = (block @ factor)[a - first : b - first]
+    return out
+
+
 def ndtri(x, out=None):
     """Inverse of the standard normal CDF, elementwise:
     ``scipy.special.ndtri``, imported on the first call."""
@@ -314,39 +443,22 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     for a fixed BLAS library and thread count. Gaussian shaping applies
     the inverse normal CDF to counter-based uniforms and multiplies by
     the symmetric eigenfactor of the covariance. Only the support is
-    shaped: eigenvalues within round-off of zero count as exact zeros,
-    and their directions get neither ``ndtri`` nor a matmul column, so a
-    pure-state measure shapes 2 normals per row whatever n is. Every
-    row goes through one BLAS matmul of a fixed shape at a fixed
-    position: the ROW_BLOCK-row block that starts at a multiple of
-    ROW_BLOCK in the global row index. Rows of a block outside the
-    request are zeros and cost no ``ndtri``. The first call loads
-    ``scipy.special``, where ``ndtri`` comes from.
+    drawn and shaped: eigenvalues within round-off of zero count as
+    exact zeros, and their directions get neither ``ndtri`` nor a matmul
+    column, so a pure-state measure shapes 2 normals per row whatever n
+    is. When the support's Philox blocks are at most 1/8 of a row's,
+    only those blocks are generated: from n = 15 on, a pure-state
+    measure draws one block of 4 words per row. Every row goes through
+    one BLAS matmul of a fixed shape at a fixed position: the
+    ROW_BLOCK-row block that starts at a multiple of ROW_BLOCK in the
+    global row index. Rows of a block outside the request are zeros and
+    cost no ``ndtri``. The first call loads ``scipy.special``, where
+    ``ndtri`` comes from.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
-    dim = 2 * rho.n
-    w, v = rho._eigensystem
-    # eigh sorts ascending, so the kept directions are a suffix
-    low = dim - int(np.count_nonzero(w > 1e-14 * max(float(w[-1]), 0.0)))
-    if count == 0 or low == dim:
-        return np.zeros((count, dim))
-    factor = (v[:, low:] * np.sqrt(w[low:])).T
-    u = _block_aligned_uniforms(int(seed), int(start), int(count), dim)
-    # a contiguous copy, on which ndtri runs faster than on the padded rows;
-    # the uniforms' memory is then free to hold the output
-    z = np.clip(u[:, low:], np.finfo(float).tiny, None)
-    del u
-    ndtri(z, out=z)
-    out = np.empty((count, dim))
-    stop = start + count
-    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
-        a, b = max(start, first), min(stop, first + ROW_BLOCK)
-        rows = slice(a - start, b - start)
-        if b - a == ROW_BLOCK:
-            np.matmul(z[rows], factor, out=out[rows])
-        else:
-            block = np.zeros((ROW_BLOCK, dim - low))
-            block[a - first : b - first] = z[rows]
-            out[rows] = (block @ factor)[a - first : b - first]
-    return out
+    factor = _support_factor(rho)
+    if count == 0 or factor.shape[0] == 0:
+        return np.zeros((count, 2 * rho.n))
+    seed, count, start = int(seed), int(count), int(start)
+    return _shape(_normals(rho, seed, count, start), factor, start)

@@ -163,11 +163,7 @@ class ClassicalVariable:
         """Evaluate on a batch; pts has shape (..., 2n)."""
         pts = self._check_batch(pts)
         if self._terms is not None:
-            forms = [_quadratic_forms(pts, a) for a in self._operators]
-            out = np.zeros(pts.shape[:-1])
-            for i, c, k in self._grouping:
-                out += c * forms[i] ** k
-            return out
+            return self._from_forms([_quadratic_forms(pts, a) for a in self._operators])
         return np.asarray(self._value_fn(pts), dtype=float)
 
     def value(self, psi: PhaseVector) -> float:
@@ -286,6 +282,15 @@ class ClassicalVariable:
     __rmul__ = __mul__
 
     # -- helpers ---------------------------------------------------------
+
+    def _from_forms(self, forms) -> np.ndarray:
+        """Values of a structured variable from one array of forms per
+        distinct operator (in ``_operators`` order): sum c * form^k over
+        the terms, in term order."""
+        out = np.zeros(forms[0].shape)
+        for i, c, k in self._grouping:
+            out += c * forms[i] ** k
+        return out
 
     def _images(self, pts):
         """Per distinct operator: A psi (A is symmetric) and (A psi, psi)."""

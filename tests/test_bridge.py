@@ -26,6 +26,7 @@ from pcsft.bridge import (
 )
 from pcsft.dynamics import QuadraticHamiltonian, linear_flow, schrodinger_flow
 from pcsft.gaussian import (
+    ROW_BLOCK,
     DensityOperator,
     GaussianState,
     from_complex_covariance,
@@ -34,8 +35,8 @@ from pcsft.gaussian import (
     quadratic_average,
     sample,
 )
-from pcsft.symplectic import BlockOperator, ComplexOperator, real_to_complex
-from pcsft.variables import ClassicalVariable
+from pcsft.symplectic import BlockOperator, ComplexOperator, complex_to_real, real_to_complex
+from pcsft.variables import ClassicalVariable, QuadraticTerm
 
 
 def admissible_operator(rng, n):
@@ -184,6 +185,81 @@ def test_classical_average_stderr_survives_large_mean(count):
     expected = float(np.std(vals, ddof=1)) / np.sqrt(count)
     assert est.stderr == pytest.approx(expected, rel=1e-6)
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-15)
+
+
+def _reference_estimate(vals):
+    """Mean and stderr of vals merged in ROW_BLOCK chunks by the
+    pairwise (count, mean, M2) update the reducer documents."""
+    count = len(vals)
+    done, mean, m2 = 0, 0.0, 0.0
+    for first in range(0, count, ROW_BLOCK):
+        cols = vals[first : first + ROW_BLOCK, None]
+        m = len(cols)
+        chunk_mean = cols.mean(axis=0)
+        delta = chunk_mean - mean
+        merged = done + m
+        mean = mean + delta * (m / merged)
+        m2 = m2 + ((cols - chunk_mean) ** 2).sum(axis=0) + delta**2 * (done * m / merged)
+        done = merged
+    return float(mean[0]), float(np.sqrt(m2 / (count - 1) / count)[0])
+
+
+def _psd_operator(rng, n):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return complex_to_real(ComplexOperator(x @ x.conj().T / n))
+
+
+def _support_cases():
+    """(state, two-operator polynomial of powers 1-3): a pure state at
+    n = 128, a mixed state of real rank 6 at n = 6 and a full-rank one."""
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    x = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    states = [
+        pure_state_measure(psi / np.linalg.norm(psi), 0.5),
+        from_complex_covariance(ComplexOperator(x @ x.conj().T / 6)),
+        from_complex_covariance(ComplexOperator(y @ y.conj().T / 5)),
+    ]
+    cases = []
+    for rho in states:
+        a, b = _psd_operator(rng, rho.n), _psd_operator(rng, rho.n)
+        terms = [QuadraticTerm(0.5, a, 1), QuadraticTerm(0.3, b, 2), QuadraticTerm(0.2, a, 3)]
+        cases.append((rho, ClassicalVariable.from_terms(terms)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_support_coordinates_match_phase_space_reference(case):
+    rho, f = _support_cases()[case]
+    rank = np.linalg.matrix_rank(rho.covariance)
+    assert rank == (2, 6, 10)[case] and (rank < 2 * rho.n) == (case < 2)
+    count = 9000  # off the 4096-row chunk grid
+    mean, stderr = _reference_estimate(f.values(sample(rho, 41, count)))
+    est = classical_average(f, rho, seed=41, count=count)
+    assert est.mean == pytest.approx(mean, rel=1e-13)
+    assert est.stderr == pytest.approx(stderr, rel=1e-13)
+    # a black box gets the sampled rows themselves
+    box = ClassicalVariable.from_callbacks(f.values, n=f.n)
+    assert classical_average(box, rho, seed=41, count=count) == (mean, stderr, count)
+
+
+def test_structured_averages_draw_no_sample_rows(monkeypatch):
+    from pcsft import bridge, gaussian
+
+    rho, f = _support_cases()[0]
+    expected = classical_average(f, rho, seed=5, count=5000)
+    scan = alpha_scan(quartic_benchmark(), GaussianState.isotropic(1, 1.0), (0.1, 0.01), seed=3, count=5000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structured average shaped sample rows")
+
+    for module in (gaussian, bridge):
+        for name in ("sample", "_shape"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert classical_average(f, rho, seed=5, count=5000) == expected
+    rescan = alpha_scan(quartic_benchmark(), GaussianState.isotropic(1, 1.0), (0.1, 0.01), seed=3, count=5000)
+    assert rescan == scan
 
 
 def test_quantum_average_basics():

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from pcsft import gaussian
 from pcsft.gaussian import (
     DensityOperator,
     GaussianState,
@@ -276,6 +277,30 @@ def _pure_and_full_rank_states(n):
     )
 
 
+def _rank_four_state(n):
+    # complex rank 2, so real rank 4: the support fills one Philox block
+    x = np.random.default_rng(21).standard_normal((n, 2, 2)) @ np.array([1.0, 1j])
+    return from_complex_covariance(ComplexOperator(x @ x.conj().T))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5, 2**128 - 1])
+def test_counter_indexed_philox_words_match_numpy(seed):
+    # 2**64 - 3 puts the block counter (block index + 1) across 2**64
+    for first in [0, 5, 2**64 - 3]:
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(first)
+        expected = bitgen.random_raw(4 * 6).reshape(6, 4)
+        assert np.array_equal(gaussian._philox_blocks(seed, first, np.arange(6)), expected)
+    # blocks in any order and shape, each indexed by its own counter
+    offsets = np.array([[17, 3], [0, 2**40]])
+    words = gaussian._philox_blocks(seed, 9, offsets)
+    assert words.shape == (2, 2, 4)
+    for index, offset in np.ndenumerate(offsets):
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(9 + int(offset))
+        assert np.array_equal(words[index], bitgen.random_raw(4))
+
+
 def test_sampling_split_batches_are_bit_identical():
     rho = random_j_invariant_state(np.random.default_rng(13), 3)
     whole = sample(rho, seed=99, count=50)
@@ -285,11 +310,25 @@ def test_sampling_split_batches_are_bit_identical():
     assert np.array_equal(whole, split)
     rows = np.vstack([sample(rho, seed=99, count=1, start=k) for k in range(50)])
     assert np.array_equal(whole, rows)
-    # n = 128 at rank 2 and full rank; rows 1000..9999 start off the
-    # 4096-row block grid and cover two block boundaries
-    for rho, rank in zip(_pure_and_full_rank_states(128), (2, 256)):
+    # n = 128 at rank 2 and full rank, n = 64 at rank 4; rows 1000..9999
+    # start off the 4096-row block grid and cover two block boundaries
+    states = [*_pure_and_full_rank_states(128), _rank_four_state(64)]
+    for rho, rank, by_counter in zip(states, (2, 256, 4), (True, False, True)):
+        dim = 2 * rho.n
         assert np.linalg.matrix_rank(rho.covariance) == rank
+        low = dim - rank
+        blocks = dim // 4
+        assert (blocks - low // 4 <= gaussian._COUNTER_SHARE * blocks) == by_counter
         whole = sample(rho, seed=99, count=9000, start=1000)
+        # reference: every word of each row from numpy's generator, ndtri
+        # on the support columns, and each ROW_BLOCK block of the global
+        # row index shaped by one zero-padded matmul
+        u = gaussian._block_aligned_uniforms(99, 1000, 9000, dim)[:, low:]
+        padded = np.zeros((3 * gaussian.ROW_BLOCK, rank))
+        padded[1000:10000] = gaussian.ndtri(np.clip(u, np.finfo(float).tiny, None))
+        factor = gaussian._support_factor(rho)
+        reference = np.vstack([blk @ factor for blk in np.split(padded, 3)])[1000:10000]
+        assert np.array_equal(whole, reference)
         cuts = [1000, 1001, 4095, 4097, 8191, 8200, 10000]
         split = np.vstack(
             [sample(rho, seed=99, count=b - a, start=a) for a, b in zip(cuts, cuts[1:])]
@@ -299,11 +338,13 @@ def test_sampling_split_batches_are_bit_identical():
         for k in [1000, 4095, 4096, 8191, 8192, 9999]:
             row = sample(rho, seed=99, count=1, start=k)[0]
             assert np.array_equal(row, whole[k - 1000])
+        # seeds outside numpy's 128-bit Philox key raise on either path
+        for seed in [-1, 2**128]:
+            with pytest.raises(ValueError):
+                sample(rho, seed=seed, count=3)
 
 
 def test_pure_state_sampling_shapes_only_its_support(monkeypatch):
-    from pcsft import gaussian
-
     shapes = []
     original = gaussian.ndtri
 
