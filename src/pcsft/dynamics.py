@@ -249,15 +249,7 @@ class Trajectory:
         write_csv(path, header, rows)
 
 
-def integrate(
-    h,
-    psi0,
-    t_final: float,
-    dt: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> Trajectory:
+def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     """Integrate d psi/dt = J grad H(psi) with the implicit midpoint rule.
 
     ``h`` is a ClassicalVariable with a gradient (every Hamiltonian is
@@ -268,14 +260,14 @@ def integrate(
     The step count is round(|t_final| / dt), so the effective step is
     t_final / steps and the trajectory lands exactly on t_final. Each
     step solves x = y + dt * J grad H((y + x)/2) by fixed-point
-    iteration to ``tol`` relative to the state scale 1 + max|y|.
+    iteration to ``SWEEP_TOL`` relative to the state scale 1 + max|y|.
 
     Step 0 starts from the Euler guess y + dt * J grad H(y). Every later
     step starts from the polynomial through the last q + 1 states at the
     next time, q = min(k, PREDICTOR_ORDER) (Hairer, Lubich & Wanner,
     *Geometric Numerical Integration*, VIII.6.1), which is accurate to
     O(dt^(q+1)) and costs no field evaluation. If the sweeps from that
-    start fail (``max_iter`` sweeps, or a non-finite row), the step is
+    start fail (``MAX_SWEEPS`` sweeps, or a non-finite row), the step is
     redone from the Euler guess; :class:`IntegrationError` is raised
     only when that fails too, naming the rows that failed.
 
@@ -301,8 +293,6 @@ def integrate(
         raise ValueError("dt must be positive")
     if t_final == 0:
         raise ValueError("t_final must be nonzero")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     if isinstance(psi0, PhaseVector):
         y = psi0.flat()[None, :]
         squeeze = True
@@ -325,7 +315,7 @@ def integrate(
         field = _field(h, step_dt, history.shape[1:])
         work = tuple(np.empty(history.shape[1:]) for _ in range(4))
         for k in range(steps):
-            taken = _midpoint_step(field, history, k, work, tol, max_iter, first)
+            taken = _midpoint_step(field, history, k, work, first)
             sweeps[k] = max(sweeps[k], taken)
 
     states = states.reshape((steps + 1,) + y.shape)
@@ -343,6 +333,10 @@ def integrate(
 # flow-batch benchmark), and the rows integrated together in one block.
 PREDICTOR_ORDER = 6
 TILE = 1024
+# A step's sweeps stop once the largest change is within SWEEP_TOL times
+# the state scale 1 + max|y|, and fail after MAX_SWEEPS sweeps.
+SWEEP_TOL = 1e-12
+MAX_SWEEPS = 50
 # weights of history[k-q..k], oldest first, in the degree-q extrapolant
 _PREDICTOR_WEIGHTS = tuple(
     np.array([(-1) ** j * math.comb(q + 1, j + 1) for j in range(q, -1, -1)], dtype=float)
@@ -350,24 +344,24 @@ _PREDICTOR_WEIGHTS = tuple(
 )
 
 
-def _midpoint_step(field, history, k, work, tol, max_iter, first_row) -> int:
+def _midpoint_step(field, history, k, work, first_row) -> int:
     """Solve x = y + field((y + x)/2) for y = history[k] into history[k+1];
     returns the sweeps it took, both starts counted. ``first_row`` is the
     global index of the block's first row, for the error."""
     y = history[k]
     x, change = work[0], work[3]
-    limit = tol * (1.0 + float(np.abs(y, out=change).max()))
+    limit = SWEEP_TOL * (1.0 + float(np.abs(y, out=change).max()))
     taken = 0
     with np.errstate(all="ignore"):  # divergence is reported, not warned about
         if k > 0:
             _extrapolate(history, k, x)
-            spent, residual = _sweep(field, y, history[k + 1], work, limit, max_iter)
+            spent, residual = _sweep(field, y, history[k + 1], work, limit)
             taken += spent
             if residual <= limit:
                 return taken
         field(y, x)  # Euler guess
         x += y
-        spent, residual = _sweep(field, y, history[k + 1], work, limit, max_iter)
+        spent, residual = _sweep(field, y, history[k + 1], work, limit)
         taken += spent
         if residual <= limit:
             return taken
@@ -384,12 +378,12 @@ def _extrapolate(history, k, out) -> None:
     np.einsum("j,j...->...", weights, history[k + 1 - len(weights) : k + 1], out=out)
 
 
-def _sweep(field, y, out, work, limit, max_iter):
+def _sweep(field, y, out, work, limit):
     """Iterate x <- y + field((y + x)/2) from the start in work[0] until
     the largest change is within ``limit``, then write x to ``out``.
     Returns (sweeps, last residual); on failure work[3] holds |change|."""
     x, x_next, mid, change = work
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         np.add(y, x, out=mid)
         np.divide(mid, 2.0, out=mid)
         field(mid, x_next)

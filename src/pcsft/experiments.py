@@ -486,6 +486,8 @@ def _run_field_spectrum(params, seed, out_dir):
     sizes = [int(s) for s in params["grid_sizes"]]
     if len(sizes) != 3:
         raise ConfigError("grid_sizes must list exactly three resolutions")
+    if sizes[1] != 2 * sizes[0] or sizes[2] != 2 * sizes[1]:
+        raise ConfigError("grid_sizes must each be twice the one before (Richardson ratio 4)")
 
     energies = []
     for n in sizes:

@@ -37,7 +37,6 @@ from .symplectic import (
     BlockOperator,
     CheckResult,
     ComplexOperator,
-    PhaseVector,
     complex_to_real,
     is_j_commuting,
     real_to_complex,
@@ -238,20 +237,18 @@ def from_complex_covariance(m) -> GaussianState:
 
 def pure_state_measure(psi, alpha: float) -> GaussianState:
     """Gaussian measure of dispersion alpha concentrated on the complex
-    line through a normalised vector psi.
+    line through psi, a normalised one-dimensional complex vector (any
+    array_like of complex numbers).
 
     The covariance is (alpha/2) (e1 e1^T + e2 e2^T) with e1 = (u, v) and
     e2 = (-v, u) for psi = u + iv, i.e. rank two, supported on the real
     plane spanned by psi and J psi. Its complex covariance is
     alpha * psi psi^dagger.
     """
-    if isinstance(psi, PhaseVector):
-        u, v = psi.q, psi.p
-    else:
-        z = np.asarray(psi, dtype=complex)
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("psi must be a one-dimensional vector")
-        u, v = z.real, z.imag
+    z = np.asarray(psi, dtype=complex)
+    if z.ndim != 1 or z.size < 1:
+        raise ValueError("psi must be a one-dimensional vector")
+    u, v = z.real, z.imag
     nrm = math.sqrt(float(u @ u + v @ v))
     if not CheckResult.within(abs(nrm - 1.0), 1.0):
         raise ValueError(f"psi must be normalised, got norm {nrm}")
@@ -379,12 +376,11 @@ def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarra
     that hold the support columns are at most ``_COUNTER_SHARE`` of b,
     only those are computed, by counter (:func:`_philox_blocks`);
     otherwise numpy's generator draws every block of the rows
-    (:func:`_block_aligned_uniforms`). Both give the same words.
+    (:func:`_block_aligned_uniforms`). Both give the same words. Needs
+    count >= 1; a rank-0 state then gets a (count, 0) array.
     """
     dim = 2 * rho.n
     low = _support_start(rho)
-    if low == dim:
-        return np.empty((count, 0))
     blocks, first = (dim + 3) // 4, low // 4
     if blocks - first <= _COUNTER_SHARE * blocks:
         offsets = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(blocks)
@@ -457,8 +453,7 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
-    factor = _support_factor(rho)
-    if count == 0 or factor.shape[0] == 0:
+    if count == 0:
         return np.zeros((count, 2 * rho.n))
     seed, count, start = int(seed), int(count), int(start)
-    return _shape(_normals(rho, seed, count, start), factor, start)
+    return _shape(_normals(rho, seed, count, start), _support_factor(rho), start)

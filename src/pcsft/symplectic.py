@@ -140,20 +140,6 @@ class PhaseVector:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def __add__(self, other: "PhaseVector") -> "PhaseVector":
-        return PhaseVector(self.q + other.q, self.p + other.p)
-
-    def __sub__(self, other: "PhaseVector") -> "PhaseVector":
-        return PhaseVector(self.q - other.q, self.p - other.p)
-
-    def __neg__(self) -> "PhaseVector":
-        return PhaseVector(-self.q, -self.p)
-
-    def __mul__(self, scalar: float) -> "PhaseVector":
-        return PhaseVector(self.q * scalar, self.p * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
@@ -244,14 +230,6 @@ class BlockOperator:
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(self.matrix + other.matrix)
 
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float) -> "BlockOperator":
-        return BlockOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexOperator:
@@ -268,10 +246,6 @@ class ComplexOperator:
         if not np.isfinite(m).all():
             raise ValueError("operator entries must be finite")
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexOperator":
-        return cls(np.eye(n, dtype=complex))
 
     @property
     def n(self) -> int:
@@ -303,9 +277,6 @@ class ComplexOperator:
 
     def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
         return ComplexOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        return ComplexOperator(self.matrix - other.matrix)
 
     def __mul__(self, scalar: complex) -> "ComplexOperator":
         return ComplexOperator(self.matrix * scalar)

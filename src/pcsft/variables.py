@@ -21,6 +21,7 @@ Batch convention used throughout: a batch of m phase points is an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +45,8 @@ _SCREEN_PROBES = 64  # random points per screen_variable check
 
 def _quadratic_forms(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row-wise (A psi, psi) over a (..., 2n) batch, in ROW_BLOCK blocks."""
-    flat = pts.reshape(-1, pts.shape[-1])
+    # not reshape(-1, 0), which numpy rejects for a rank-0 state's (m, 0) normals
+    flat = pts.reshape(math.prod(pts.shape[:-1]), pts.shape[-1])
     out = np.empty(flat.shape[0])
     for start in range(0, flat.shape[0], ROW_BLOCK):
         blk = flat[start : start + ROW_BLOCK]

@@ -25,6 +25,7 @@ from pcsft.bridge import (
     von_neumann_evolve,
 )
 from pcsft.dynamics import QuadraticHamiltonian, linear_flow, schrodinger_flow
+from pcsft.fieldlab import gaussian_field_average
 from pcsft.gaussian import (
     ROW_BLOCK,
     DensityOperator,
@@ -244,6 +245,20 @@ def test_support_coordinates_match_phase_space_reference(case):
     assert classical_average(box, rho, seed=41, count=count) == (mean, stderr, count)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])  # numpy's generator at n = 1, counter blocks at 2 and 8
+def test_zero_dispersion_state_averages_to_zero(n):
+    rho = GaussianState.isotropic(n, 0.0)
+    for start, count in [(0, 1), (3, 5), (4090, 10), (0, ROW_BLOCK + 1)]:
+        pts = sample(rho, seed=3, count=count, start=start)
+        assert pts.shape == (count, 2 * n)
+        assert not pts.any() and not np.signbit(pts).any()  # all +0.0
+    f = ClassicalVariable.polynomial(BlockOperator(np.eye(2 * n)), [0.5, 0.5])
+    box = ClassicalVariable.from_callbacks(f.values, n=n)
+    for v in (f, box):
+        assert classical_average(v, rho, seed=3, count=5000) == (0.0, 0.0, 5000)
+    assert gaussian_field_average(np.eye(n), rho, seed=3, count=5000) == (0.0, 0.0, 5000)
+
+
 def test_structured_averages_draw_no_sample_rows(monkeypatch):
     from pcsft import bridge, gaussian
 
@@ -290,6 +305,8 @@ def test_von_neumann_ode_and_purity():
     np.testing.assert_allclose(diff, commutator, atol=1e-6)
     evolved = von_neumann_evolve(d, m, 1.3)
     assert evolved.purity() == pytest.approx(d.purity(), abs=1e-10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        von_neumann_evolve(d, ComplexOperator(np.eye(2)), 1.3)
 
 
 def test_von_neumann_evolve_runs_no_eigvalsh(monkeypatch):

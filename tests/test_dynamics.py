@@ -332,7 +332,7 @@ def test_nonquadratic_hamiltonian_keeps_its_source():
         np.testing.assert_array_equal(h.gradients(pts), v.gradients(pts))
 
 
-def test_integration_error_names_the_failing_rows():
+def test_integration_error_names_the_failing_rows(monkeypatch):
     # H = (psi, psi)^2: the fixed-point map contracts for small rows and
     # blows up for the large one, through the fused kernel and through
     # the same Hamiltonian's callbacks
@@ -344,9 +344,10 @@ def test_integration_error_names_the_failing_rows():
             integrate(h, batch, 0.1, 0.1)
         assert err.value.rows == [1] and err.value.step == 0
     # out of sweeps without blowing up: only the row still moving fails
+    monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1)
     rotation = QuadraticHamiltonian(BlockOperator.identity(1))
     with pytest.raises(IntegrationError) as err:
-        integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1, max_iter=1)
+        integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1)
     assert err.value.rows == [1]
 
 
@@ -461,6 +462,8 @@ def test_structured_integration_matches_its_callbacks(v):
     np.testing.assert_allclose(fused.states, black_box.states, rtol=0, atol=1e-13)
     assert fused.sweeps.shape == (50,) and fused.sweeps.min() >= 1
     np.testing.assert_array_equal(fused.sweeps, black_box.sweeps)
+    with pytest.raises(ValueError, match=r"2n = 4, got 6"):
+        integrate(v, np.zeros((2, 6)), 1.0, 0.02)
 
 
 def test_multi_axis_batch_matches_flat_rows():
@@ -507,8 +510,8 @@ def test_time_grid_and_reversibility():
         integrate(h, PhaseVector([1.0], [0.0]), 1.0, -0.1)
     with pytest.raises(ValueError):
         integrate(h, PhaseVector([1.0], [0.0]), 0.0, 0.1)
-    with pytest.raises(ValueError):
-        integrate(h, PhaseVector([1.0], [0.0]), 1.0, 0.1, max_iter=0)
+    with pytest.raises(ValueError, match="even length"):
+        integrate(h, np.zeros(3), 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +532,8 @@ def test_heisenberg_value_consistency():
         moved = u.apply(psi).flat()
         rhs = moved @ a.matrix @ moved
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        heisenberg_evolve(BlockOperator(np.eye(2)), h, t)
 
 
 def _hermitian(rng, n):
@@ -621,6 +626,8 @@ def test_lift_variable_quadratic_route_matches_heisenberg():
         psi = PhaseVector.from_flat(rng.standard_normal(4))
         expected = 0.5 * psi.flat() @ a_t.matrix @ psi.flat()
         assert lifted.value(psi) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lift_variable(h, ClassicalVariable.quadratic(BlockOperator(np.eye(2))), t)
 
 
 def test_lift_variable_satisfies_liouville_equation():

@@ -79,6 +79,8 @@ class TestConfigValidation:
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="count"):
             validate_config({"experiment": "alpha-scan", "seed": 1, "count": "many"})
+        with pytest.raises(ConfigError, match="out_dir"):
+            validate_config({"experiment": "alpha-scan", "seed": 1, "out_dir": 3})
         # list elements must match the default's element type, bools never
         bad = [
             ("field-spectrum", "grid_sizes", [64.5, 128, 256], "list of int"),
@@ -207,6 +209,18 @@ class TestReports:
         lines = (tmp_path / "norm-audit-trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,q_0,p_0,energy,norm"
 
+    def test_artifact_ground_state_written(self, tmp_path):
+        run_experiment(
+            {
+                "experiment": "field-correspondence",
+                "seed": 3,
+                "params": {"n_points": 16, "count": 2000},
+                "out_dir": str(tmp_path),
+            }
+        )
+        lines = (tmp_path / "field-ground-state.csv").read_text().splitlines()
+        assert lines[0] == "x,re,im,abs2" and len(lines) == 17
+
 
 class TestCli:
     def _write(self, tmp_path, payload):
@@ -271,6 +285,12 @@ class TestCli:
             ("dispersion-preservation", "times", []),
             ("field-spectrum", "grid_sizes", []),
             ("field-spectrum", "grid_sizes", [64, 1, 256]),
+            # the Richardson ratio needs exactly three sizes, each twice
+            # the one before
+            ("field-spectrum", "grid_sizes", [64, 64, 64]),
+            ("field-spectrum", "grid_sizes", [64, 128, 128]),
+            ("field-spectrum", "grid_sizes", [64, 96, 128]),
+            ("field-spectrum", "grid_sizes", [64, 128]),
             # out-of-range scalars: too few rows for a standard error, no
             # dimension or grid, a zero step, a negative dispersion, and
             # no trials (which would pass without testing anything)

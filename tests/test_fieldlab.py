@@ -71,12 +71,18 @@ def test_field_state_norm_and_embedding():
     np.testing.assert_allclose(back.values, psi.values, atol=1e-14)
     with pytest.raises(ValueError):
         FieldState(g, np.zeros(3, dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        FieldState(g, np.full(g.n_points, np.nan))
 
 
 def test_gaussian_packet_is_normalised():
     g = FieldGrid.centered(128, 20.0)
     psi = gaussian_packet(g, center=1.0, width=0.8, k0=2.0)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="width"):
+        gaussian_packet(g, center=1.0, width=0.0)
+    with pytest.raises(ValueError, match="vanishes"):
+        gaussian_packet(g, center=1e6, width=0.8)  # the envelope underflows to 0
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +116,8 @@ def test_kernel_construction_and_validation():
     # array form agrees with callable form
     pot2 = KernelOperator.potential(g, g.x**2 / 2)
     np.testing.assert_allclose(pot.matrix, pot2.matrix, atol=0)
+    with pytest.raises(ValueError, match="one value per grid point"):
+        KernelOperator.potential(g, np.ones(3))
     combined = hamiltonian_kernel(g, 1.0, lambda x: x**2 / 2)
     np.testing.assert_allclose(
         combined.matrix, KernelOperator.mass(g, 1.0).matrix + pot.matrix, atol=1e-14
@@ -168,10 +176,11 @@ def test_fourier_parseval_and_ordering():
     assert float(np.sum(np.abs(amps) ** 2) * dk) == pytest.approx(
         psi.norm_sq(), rel=1e-10
     )
+    dirichlet = FieldState(FieldGrid(8, 0.1, boundary="dirichlet"), np.ones(8, complex))
     with pytest.raises(ValueError):
-        momentum_average(
-            FieldState(FieldGrid(8, 0.1, boundary="dirichlet"), np.ones(8, complex))
-        )
+        momentum_average(dirichlet)
+    with pytest.raises(ValueError, match="periodic"):
+        fourier_transform(dirichlet)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,8 @@ def test_interacting_evolution_matches_expm_and_conserves():
     )
     with pytest.raises(ValueError):
         interacting_evolve(psi, np.diag(np.arange(8.0)), t)
+    with pytest.raises(ValueError, match="grid does not match"):
+        interacting_evolve(psi, KernelOperator.mass(periodic_grid(16, 1.0), 1.0), t)
 
 
 # ---------------------------------------------------------------------------

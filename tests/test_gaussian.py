@@ -53,6 +53,8 @@ def test_isotropic_state_basics():
     assert rho.n == 3
     assert dispersion(rho) == pytest.approx(0.6, abs=1e-14)
     assert is_j_invariant(rho)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GaussianState.isotropic(3, -1.0)
 
 
 def test_validation_rejects_bad_covariances():
@@ -174,6 +176,8 @@ def test_pure_state_requires_normalisation():
         pure_state_measure(np.array([1.0 + 0j, 1.0]), 0.1)
     with pytest.raises(ValueError):
         pure_state_measure(np.array([1.0 + 0j]), -0.1)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        pure_state_measure(np.array([[1.0 + 0j]]), 0.1)
 
 
 def test_pure_state_samples_live_in_the_plane():
@@ -237,6 +241,8 @@ def test_quadratic_average_rejects_bad_operators():
         quadratic_average(rho, ComplexOperator(np.array([[1j]])))
     with pytest.raises(TypeError):
         quadratic_average(rho, np.eye(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        quadratic_average(rho, BlockOperator(np.eye(4)))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,8 @@ def test_phase_vector_rejects_bad_shapes():
         PhaseVector([np.nan], [0.0])
     with pytest.raises(ValueError):
         PhaseVector.from_flat([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        PhaseVector([[1.0], [2.0]], [[3.0], [4.0]])
 
 
 def test_phase_vector_is_immutable():
@@ -163,6 +165,8 @@ def test_j_matrix_is_j_commuting_and_antisymmetric():
     assert is_j_commuting(a)
     assert j_commutation_defect(a) == 0.0
     assert np.max(np.abs(a.matrix + a.matrix.T)) == 0.0
+    with pytest.raises(ValueError, match="at least 1"):
+        j_matrix(0)
 
 
 def test_diag_counterexample_not_j_commuting():
@@ -231,6 +235,8 @@ def test_symplectic_form_via_j():
         assert symplectic_form(psi1, psi2) == pytest.approx(oracle, abs=1e-12)
     with pytest.raises(ValueError):
         symplectic_form(PhaseVector([1.0], [0.0]), PhaseVector([1.0, 0.0], [0.0, 0.0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hermitian_product(PhaseVector([1.0], [0.0]), PhaseVector([1.0, 0.0], [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,8 @@ def test_complex_action_matches_block_action():
         via_complex = real_to_complex(a).apply(psi.to_complex())
         via_blocks = a.apply(psi).to_complex()
         np.testing.assert_allclose(via_complex, via_blocks, atol=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        real_to_complex(a).apply(np.ones(2))
 
 
 def test_algebra_isomorphism_products_and_sums():
@@ -313,6 +321,12 @@ def test_block_operator_accessors():
         BlockOperator(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         a.apply(PhaseVector([1.0, 2.0], [0.0, 0.0]))
+    with pytest.raises(ValueError, match="equal shapes"):
+        BlockOperator.from_blocks([[1.0]], [[2.0]], [[3.0]], np.eye(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        a @ BlockOperator(np.eye(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ComplexOperator(np.eye(1)) @ ComplexOperator(np.eye(2))
 
 
 # ---------------------------------------------------------------------------

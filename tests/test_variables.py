@@ -223,6 +223,14 @@ def test_algebra_scaling_and_sum():
     mixed = bb + g
     np.testing.assert_allclose(mixed.values(pts), f.values(pts) + g.values(pts),
                                rtol=1e-12)
+    # a scaled black box without a gradient stays without one
+    values_only = 0.5 * ClassicalVariable.from_callbacks(f.values, n=2)
+    assert not values_only.has_gradient
+    np.testing.assert_array_equal(values_only.values(pts), 0.5 * f.values(pts))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        f + ClassicalVariable.quadratic(identity_op(1))
+    with pytest.raises(TypeError):
+        f + 1
 
 
 def test_constructor_validation():
@@ -236,6 +244,12 @@ def test_constructor_validation():
         ClassicalVariable(terms=None, value_fn=None)
     with pytest.raises(ValueError):
         ClassicalVariable.from_terms([])
+    with pytest.raises(ValueError, match="share one dimension"):
+        ClassicalVariable.from_terms(
+            [QuadraticTerm(1.0, identity_op(1), 1), QuadraticTerm(1.0, identity_op(2), 1)]
+        )
+    with pytest.raises(ValueError, match="nonzero coefficient"):
+        ClassicalVariable.polynomial(identity_op(1), [0.0, 0.0])
     with pytest.raises(ValueError):
         ClassicalVariable(value_fn=lambda pts: pts[..., 0], n=None)
     f = ClassicalVariable.quadratic(identity_op(2))
