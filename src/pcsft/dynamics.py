@@ -65,13 +65,12 @@ __all__ = [
 class IntegrationError(RuntimeError):
     """Implicit midpoint fixed point failed to converge.
 
-    ``rows`` lists the batch rows that failed, or is None when unknown.
+    ``rows`` lists the global indices of the batch rows that failed.
     """
 
-    def __init__(self, step: int, residual: float, rows: Optional[list] = None):
-        where = "" if rows is None else f" in rows {rows}"
+    def __init__(self, step: int, residual: float, rows: list):
         super().__init__(
-            f"fixed-point iteration did not converge at step {step}{where} "
+            f"fixed-point iteration did not converge at step {step} in rows {rows} "
             f"(residual {residual:.3e}); reduce dt"
         )
         self.step = step
@@ -121,21 +120,14 @@ class QuadraticHamiltonian(ClassicalVariable):
 class NonquadraticHamiltonian(ClassicalVariable):
     """Classical variable that is sure to have a gradient.
 
-    Built from value/gradient callbacks on (..., 2n) flat batches, from
-    structured terms, or from any variable with a gradient.
+    Built from value/gradient callbacks on (..., 2n) flat batches or
+    from structured terms.
     """
 
     def __init__(self, value_fn=None, gradient_fn=None, n=None, *, terms=None):
         super().__init__(terms=terms, value_fn=value_fn, gradient_fn=gradient_fn, n=n)
         if not self.has_gradient:
             raise ValueError("variable has no gradient; integration requires a gradient callback")
-
-    @classmethod
-    def from_variable(cls, v: ClassicalVariable) -> "NonquadraticHamiltonian":
-        """Same variable as a Hamiltonian: a structured source keeps its
-        terms (so integrate uses the fused field kernel), a black box its
-        callbacks."""
-        return cls(v._value_fn, v._gradient_fn, v.n, terms=v.terms)
 
 
 def q_squared_p() -> NonquadraticHamiltonian:

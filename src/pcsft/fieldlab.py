@@ -139,13 +139,22 @@ def laplacian_matrix(grid: FieldGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Real symmetric N x N kernel of a quadratic field energy."""
+    """Real symmetric N x N kernel of a quadratic field energy, checked
+    finite and hermitian relative to its scale by :class:`ComplexOperator`."""
 
     grid: FieldGrid
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _kernel_matrix(np.array(self.matrix, dtype=float), self.grid.n_points)
+        if np.iscomplexobj(self.matrix):  # a float cast would drop the imaginary part
+            raise ValueError("kernel must be a real matrix")
+        m = np.array(self.matrix, dtype=float)
+        n = self.grid.n_points
+        if m.shape != (n, n):
+            raise ValueError(f"kernel must be {n} x {n}, got {m.shape}")
+        herm = ComplexOperator(m).is_hermitian()
+        if not herm:
+            raise ValueError(f"kernel must be hermitian (defect {herm.defect:.3e})")
         m = (m + m.T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -165,10 +174,6 @@ class KernelOperator:
             raise ValueError("potential must produce one value per grid point")
         return cls(grid, np.diag(values))
 
-    @classmethod
-    def dense(cls, grid: FieldGrid, matrix) -> "KernelOperator":
-        return cls(grid, matrix)
-
     def __add__(self, other: "KernelOperator") -> "KernelOperator":
         if other.grid != self.grid:
             raise ValueError("kernels live on different grids")
@@ -182,9 +187,6 @@ class KernelOperator:
         """Normalised eigenvector of the smallest eigenvalue."""
         _, vecs = self.eigensystem
         return FieldState.from_euclidean(self.grid, vecs[:, 0])
-
-    def as_complex_operator(self) -> ComplexOperator:
-        return ComplexOperator(self.matrix.astype(complex))
 
 
 def hamiltonian_kernel(grid: FieldGrid, mass: float, v) -> KernelOperator:
@@ -210,22 +212,9 @@ def gaussian_packet(
     return FieldState(grid, values / nrm)
 
 
-def _coerce_kernel(r, grid: FieldGrid) -> np.ndarray:
-    if isinstance(r, KernelOperator) and r.grid != grid:
+def _check_grid(r: KernelOperator, grid: FieldGrid) -> None:
+    if r.grid != grid:
         raise ValueError("kernel grid does not match the field grid")
-    return _kernel_matrix(r, grid.n_points)
-
-
-def _kernel_matrix(r, n: int) -> np.ndarray:
-    """n x n matrix of a kernel, checked finite and hermitian relative to
-    its scale by :class:`ComplexOperator`."""
-    mat = r.matrix if isinstance(r, (KernelOperator, ComplexOperator)) else np.asarray(r)
-    if mat.shape != (n, n):
-        raise ValueError(f"kernel must be {n} x {n}, got {mat.shape}")
-    herm = ComplexOperator(mat).is_hermitian()
-    if not herm:
-        raise ValueError(f"kernel must be hermitian (defect {herm.defect:.3e})")
-    return mat
 
 
 def free_field_evolve(psi0: FieldState, t: float) -> FieldState:
@@ -233,10 +222,10 @@ def free_field_evolve(psi0: FieldState, t: float) -> FieldState:
     return FieldState(psi0.grid, psi0.values * np.exp(-1j * t))
 
 
-def interacting_evolve(psi0: FieldState, r, t: float) -> FieldState:
-    """Evolve by exp(-iRt) for a symmetric kernel R."""
-    mat = _coerce_kernel(r, psi0.grid)
-    w, v = r.eigensystem if isinstance(r, KernelOperator) else np.linalg.eigh(mat)
+def interacting_evolve(psi0: FieldState, r: KernelOperator, t: float) -> FieldState:
+    """Evolve by exp(-iRt) for a kernel R on the field's grid."""
+    _check_grid(r, psi0.grid)
+    w, v = r.eigensystem
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return FieldState(psi0.grid, u @ psi0.values)
 
@@ -268,14 +257,14 @@ def fourier_transform(psi: FieldState):
     return k[order], amps[order]
 
 
-def field_energy(psi: FieldState, r) -> float:
-    """(1/2) Re <R psi, psi> dx."""
-    mat = _coerce_kernel(r, psi.grid)
-    val = complex(np.vdot(psi.values, mat @ psi.values)) * psi.grid.dx
+def field_energy(psi: FieldState, r: KernelOperator) -> float:
+    """(1/2) Re <R psi, psi> dx for a kernel R on the field's grid."""
+    _check_grid(r, psi.grid)
+    val = complex(np.vdot(psi.values, r.matrix @ psi.values)) * psi.grid.dx
     return 0.5 * val.real
 
 
-def quartic_field_energy(psi: FieldState, r, coupling: float) -> float:
+def quartic_field_energy(psi: FieldState, r: KernelOperator, coupling: float) -> float:
     """Quadratic energy plus coupling * sum |psi_j|^4 dx (coupling >= 0)."""
     if coupling < 0:
         raise ValueError("coupling must be nonnegative")
@@ -290,7 +279,7 @@ def field_pure_state(psi: FieldState, alpha: float) -> GaussianState:
 
 
 def gaussian_field_average(
-    r, rho: GaussianState, seed: int, count: int
+    r: KernelOperator, rho: GaussianState, seed: int, count: int
 ) -> MonteCarloEstimate:
     """Monte Carlo mean of the quadratic field energy over a Gaussian
     measure on the sqrt(dx)-embedded field phase space.
@@ -299,8 +288,10 @@ def gaussian_field_average(
     each contributes (1/2) Re <R c, c> for c = q + ip, which equals
     field_energy of the corresponding field configuration. This is
     :func:`pcsft.bridge.classical_average` of the energy variable of the
-    real form of R; R must be hermitian relative to its scale.
+    real form of R, a :class:`KernelOperator` on N = rho.n grid points.
     """
-    op = ComplexOperator(_kernel_matrix(r, rho.n))
+    if r.grid.n_points != rho.n:
+        raise ValueError(f"kernel must be {rho.n} x {rho.n}, got {r.matrix.shape}")
+    op = ComplexOperator(r.matrix)
     energy = ClassicalVariable.quadratic(complex_to_real(op), 0.5)
     return classical_average(energy, rho, seed, count)

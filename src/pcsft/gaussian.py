@@ -222,16 +222,15 @@ def complex_covariance(rho: GaussianState) -> ComplexOperator:
     return ComplexOperator(d - 1j * s)
 
 
-def from_complex_covariance(m) -> GaussianState:
+def from_complex_covariance(m: ComplexOperator) -> GaussianState:
     """J-invariant Gaussian state with prescribed complex covariance.
 
     Inverts :func:`complex_covariance` on J-invariant states:
-    B11 = B22 = Re(M)/2 and B12 = -B21 = -Im(M)/2. The input must be
-    hermitian PSD: the real form of M is symmetric exactly when M is
-    hermitian, so :class:`GaussianState` rejects any other input.
+    B11 = B22 = Re(M)/2 and B12 = -B21 = -Im(M)/2. The input is a
+    :class:`ComplexOperator` that must be hermitian PSD: the real form
+    of M is symmetric exactly when M is hermitian, so
+    :class:`GaussianState` rejects any other input.
     """
-    if not isinstance(m, ComplexOperator):
-        m = ComplexOperator(np.asarray(m, dtype=complex))
     return GaussianState(complex_to_real(m).matrix / 2.0)
 
 
@@ -284,8 +283,11 @@ def quadratic_average(rho: GaussianState, a) -> float:
         a = real_to_complex(a)
     elif not a.is_hermitian():
         raise ValueError("complex operator must be hermitian")
-    value = complex(np.trace(complex_covariance(rho).matrix @ a.matrix))
-    if not CheckResult.within(abs(value.imag), abs(value)):
+    m = complex_covariance(rho).matrix
+    value = complex(np.trace(m @ a.matrix))
+    # the round-off in tr(M A) grows with the operators, not with the value
+    scale = float(np.linalg.norm(m) * np.linalg.norm(a.matrix))
+    if not CheckResult.within(abs(value.imag), scale):
         raise ValueError(f"trace average unexpectedly non-real: {value}")
     return value.real
 

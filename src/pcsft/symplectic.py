@@ -73,13 +73,14 @@ class CheckResult:
 
     @classmethod
     def within(cls, defect: float, scale: float, tol: float = DEFAULT_TOL) -> "CheckResult":
-        """Verdict of ``defect <= tol * max(1, scale)``.
+        """Verdict of ``defect <= tol * scale``.
 
         ``scale`` is the size of what is checked: an operator's largest
         entry, its largest |eigenvalue| for a PSD check, or the target
-        value. Relative above scale 1, absolute below; NaN fails.
+        value. Relative at every scale, so a zero scale needs a zero
+        defect; NaN fails.
         """
-        return cls(defect <= tol * max(1.0, scale), defect)
+        return cls(defect <= tol * scale, defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +219,9 @@ class BlockOperator:
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
-    def is_symmetric(self, tol: float = DEFAULT_TOL) -> CheckResult:
+    def is_symmetric(self) -> CheckResult:
         scale = float(np.max(np.abs(self.matrix)))
-        return CheckResult.within(self.symmetry_defect(), scale, tol)
+        return CheckResult.within(self.symmetry_defect(), scale)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if other.n != self.n:
@@ -325,7 +326,7 @@ def j_commutation_defect(a: BlockOperator) -> float:
 
 
 def is_j_commuting(a: BlockOperator, tol: float = DEFAULT_TOL) -> CheckResult:
-    """True iff max-norm of AJ - JA is at most tol * max(1, max |A_ij|)."""
+    """True iff max-norm of AJ - JA is at most tol * max |A_ij|."""
     return CheckResult.within(j_commutation_defect(a), float(np.max(np.abs(a.matrix))), tol)
 
 

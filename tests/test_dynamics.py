@@ -265,9 +265,7 @@ def test_energy_conservation():
     # error that shrinks ~4x per halving
     a1 = BlockOperator.from_pair([[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
     a2 = BlockOperator.from_pair([[1.0, 0.5], [0.5, -1.0]], [[0.0, 0.7], [-0.7, 0.0]])
-    hq = NonquadraticHamiltonian.from_variable(
-        ClassicalVariable.quadratic(a1) + ClassicalVariable.polynomial(a2, [0.0, 0.25])
-    )
+    hq = ClassicalVariable.quadratic(a1) + ClassicalVariable.polynomial(a2, [0.0, 0.25])
     psi0 = PhaseVector([1.1, -0.2], [0.3, 0.6])
     drifts = []
     for dt in (0.02, 0.01):
@@ -315,21 +313,6 @@ def test_callback_hamiltonian_rejects_batch_of_wrong_width():
         h.values(np.ones((3, 4)))
     with pytest.raises(ValueError, match=r"2n = 2, got 4"):
         integrate(h, 0.1 * np.ones((3, 4)), 0.1, 0.05)
-
-
-def test_nonquadratic_hamiltonian_keeps_its_source():
-    # from_variable keeps a structured source's terms (so integrate takes
-    # the fused kernel) and a black box's callbacks
-    op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
-    v = ClassicalVariable.polynomial(op, [0.5, 0.0, 0.125])
-    structured = NonquadraticHamiltonian.from_variable(v)
-    assert isinstance(structured, ClassicalVariable) and structured.terms == v.terms
-    black_box = NonquadraticHamiltonian.from_variable(ClassicalVariable.from_callbacks(v.values, v.gradients, n=2))
-    assert not black_box.is_structured and black_box.has_gradient
-    pts = np.random.default_rng(16).standard_normal((5, 4))
-    for h in (structured, black_box):
-        np.testing.assert_array_equal(h.values(pts), v.values(pts))
-        np.testing.assert_array_equal(h.gradients(pts), v.gradients(pts))
 
 
 def test_integration_error_names_the_failing_rows(monkeypatch):
@@ -565,7 +548,7 @@ def test_large_hermitian_kernel_accepted_at_every_call_site():
     m = ComplexOperator(q @ np.diag(rng.uniform(0.0, 1e7, n)) @ q.conj().T)
     r = complex_to_real(m)
     assert r.symmetry_defect() > 1e-10
-    KernelOperator.dense(FieldGrid(2 * n, 1.0), r.matrix)  # the field lab agrees
+    KernelOperator(FieldGrid(2 * n, 1.0), r.matrix)  # the field lab agrees
     ClassicalVariable.quadratic(r)
     QuadraticHamiltonian(r)
     rho = GaussianState.isotropic(n, 1.0)

@@ -145,7 +145,7 @@ def test_from_complex_covariance_roundtrip():
         # dispersion equals the complex trace
         assert rho.alpha == pytest.approx(float(np.real(np.trace(m))), rel=1e-12)
     with pytest.raises(ValueError):
-        from_complex_covariance(np.array([[1.0, 1.0j], [1.0j, 1.0]]))  # not hermitian
+        from_complex_covariance(ComplexOperator(np.array([[1.0, 1.0j], [1.0j, 1.0]])))  # not hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,21 @@ def test_quadratic_average_matches_real_trace_and_monte_carlo():
 
     # same value through the complex image
     assert quadratic_average(rho, real_to_complex(a)) == pytest.approx(exact, rel=1e-12)
+
+
+def test_quadratic_average_of_a_large_orthogonal_pair_is_real():
+    # A orthogonal to the complex covariance M has exact mean tr(M A) = 0;
+    # at size 1e6 the round-off imaginary part is far above the mean's
+    # size, but far below that of the operators, so the mean is accepted
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        rho = random_j_invariant_state(rng, 4, alpha=1e6)
+        m = complex_covariance(rho).matrix
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = 1e6 * (h + h.conj().T)
+        a -= (np.vdot(m, a).real / np.vdot(m, m).real) * m
+        scale = np.linalg.norm(m) * np.linalg.norm(a)
+        assert abs(quadratic_average(rho, ComplexOperator(a))) <= 1e-10 * scale
 
 
 def test_quadratic_average_rejects_bad_operators():

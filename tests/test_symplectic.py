@@ -393,7 +393,7 @@ def _builds(cls, *args) -> bool:
 def test_verdicts_are_invariant_under_scaling(seed, n, valid, size, rel_defect, log_c):
     # Two classes, neither near the boundary: operators valid up to
     # round-off, and operators with relative defect >= 1e-3 whose largest
-    # entry lies in [1, 10]. Scaling by c in [1e-6, 1e6] keeps the verdict.
+    # entry lies in [1, 10]. Scaling by c in [1e-12, 1e12] keeps the verdict.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     m = q @ np.diag(rng.standard_normal(n)) @ q.conj().T  # hermitian to round-off
@@ -422,5 +422,5 @@ def test_verdicts_are_invariant_under_scaling(seed, n, valid, size, rel_defect, 
             _builds(GaussianState, c * b),
         ]
 
-    for c in (1.0, 1e-6, 1e6, 10.0**log_c):
+    for c in (1.0, 1e-12, 1e-6, 1e6, 1e12, 10.0**log_c):
         assert verdicts(c) == [valid] * 6, c

@@ -264,5 +264,3 @@ def test_constructor_validation():
         NonquadraticHamiltonian(value, None, 1)
     with pytest.raises(ValueError, match="n must be at least 1"):
         NonquadraticHamiltonian(value, lambda pts: 2 * pts, 0)
-    with pytest.raises(ValueError, match="no gradient"):
-        NonquadraticHamiltonian.from_variable(ClassicalVariable.from_callbacks(value, n=1))
