@@ -16,13 +16,18 @@ which :func:`alpha_scan` measures.
 
 Monte Carlo estimates read the counter-based sample stream in fixed
 4096-row chunks (``gaussian.ROW_BLOCK``, so each chunk is exactly one
-sample block) and merge the chunks' (count, mean, M2) triples. A given
-(seed, count) therefore produces the same estimate to the last bit for
-a fixed BLAS library and thread count. The stream is read in support
-coordinates: the r standard normals z of a row of a rank-r state,
-whose sample row is z F. Structured variables are evaluated there, each
-form (A psi, psi) as (F A F^T z, z) with an r x r matrix; only black
-boxes get shaped rows, from the same shaping code as ``sample``.
+sample block) and merge the chunks' (count, mean, M2) triples. Each
+chunk is reduced column by column: a variable's values are one
+contiguous row, summed with numpy's pairwise sum. An estimate therefore
+depends only on (variable, state, seed, count), not on the variables
+reduced beside it, and is the same to the last bit for a fixed BLAS
+library and thread count. The stream is read in support coordinates:
+the r standard normals z of a row of a rank-r state, whose sample row
+is z F. Structured variables are evaluated there, each form
+(A psi, psi) as (F A F^T z, z) with an r x r matrix; equal support
+operators are formed once per chunk across all the variables of a
+call. Only black boxes get shaped rows, from the same shaping code as
+``sample``.
 """
 
 from __future__ import annotations
@@ -124,42 +129,59 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     """Monte Carlo estimates over the first ``count`` rows of the sample
     stream of (rho, seed): one per variable, or one per column of
     ``columns(*values)`` when given, ``values`` being the variables'
-    values on a chunk.
+    values on a chunk and the columns the rows of the (k, m) array it
+    returns.
 
     The stream is read as support normals z in fixed ROW_BLOCK-row
     chunks; a sample row is z F (:func:`pcsft.gaussian.sample`). A
     structured variable is evaluated in support coordinates:
     (A psi, psi) = (G z, z) with G = F A F^T, r x r for a rank-r state,
-    formed once per call. A black box gets the chunk's rows from the
-    shaping ``sample`` uses, so it sees the same bits. Each chunk's
-    (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque 1979),
-    so the spread survives a mean far larger than it.
+    formed once per call. Equal G (by value) are kept once, so each
+    distinct form (G z, z) is computed once per chunk and shared by every
+    variable that carries it; equal G give equal bits. A black box gets
+    the chunk's rows from the shaping ``sample`` uses, so it sees the
+    same bits. A chunk's values are stacked as a (k, m) array, one
+    contiguous row per column, and each row is summed with numpy's
+    pairwise sum, so an estimate does not depend on its companions. Each
+    chunk's (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque
+    1979), so the spread survives a mean far larger than it.
     """
     if count < 2:
         raise ValueError("count must be at least 2")
     seed = int(seed)
     factor = _support_factor(rho)
-    # each structured variable's distinct operators in support coordinates
-    support_ops = [
-        [factor @ a @ factor.T for a in f._operators] if f.is_structured else None
-        for f in variables
-    ]
+    # the call's distinct support operators G = F A F^T, equal ones kept
+    # once; per structured variable, the index of each of its operators' G
+    support_ops, slots = [], []
+    for f in variables:
+        if not f.is_structured:
+            slots.append(None)
+            continue
+        slots.append([])
+        for g in (factor @ a @ factor.T for a in f._operators):
+            slot = next((i for i, h in enumerate(support_ops) if np.array_equal(g, h)), len(support_ops))
+            if slot == len(support_ops):
+                support_ops.append(g)
+            slots[-1].append(slot)
+    black_box = any(idx is None for idx in slots)
     done, mean, m2 = 0, 0.0, 0.0
     while done < count:
         m = min(ROW_BLOCK, count - done)
         z = _normals(rho, seed, m, done)
-        rows = _shape(z, factor, done) if any(ops is None for ops in support_ops) else None
+        rows = _shape(z, factor, done) if black_box else None
+        forms = [_quadratic_forms(z, g) for g in support_ops]
         values = [
-            f.values(rows) if ops is None else f._from_forms([_quadratic_forms(z, g) for g in ops])
-            for f, ops in zip(variables, support_ops)
+            f.values(rows) if idx is None else f._from_forms([forms[i] for i in idx])
+            for f, idx in zip(variables, slots)
         ]
-        del z, rows  # free the chunk before the next one is drawn
-        cols = np.stack(values, axis=1) if columns is None else columns(*values)
-        chunk_mean = cols.mean(axis=0)
+        del z, rows, forms  # free the chunk before the next one is drawn
+        # one contiguous row per column, each summed pairwise on its own
+        cols = np.stack(values) if columns is None else columns(*values)
+        chunk_mean = cols.mean(axis=1)
         delta = chunk_mean - mean
         merged = done + m
         mean = mean + delta * (m / merged)
-        m2 = m2 + ((cols - chunk_mean) ** 2).sum(axis=0) + delta**2 * (done * m / merged)
+        m2 = m2 + ((cols - chunk_mean[:, None]) ** 2).sum(axis=1) + delta**2 * (done * m / merged)
         done = merged
     stderrs = np.sqrt(m2 / (count - 1) / count)
     return [MonteCarloEstimate(float(a), float(b), count) for a, b in zip(mean, stderrs)]
@@ -313,7 +335,7 @@ def alpha_scan(
             rho,
             sub,
             count,
-            lambda vals, quad_vals: np.stack([vals, vals - quad_vals], axis=1),
+            lambda vals, quad_vals: np.stack([vals, vals - quad_vals]),
         )
         classical_means.append(classical.mean)
         classical_stderrs.append(classical.stderr)

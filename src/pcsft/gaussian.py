@@ -27,7 +27,6 @@ importing this module loads no scipy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -114,30 +113,6 @@ class GaussianState:
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         return cls(np.eye(2 * n) * (alpha / (2 * n)))
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "covariance": self.covariance.tolist(),
-            "alpha": self.alpha,
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianState":
-        payload = json.loads(text)
-        expected = {"n", "covariance", "alpha"}
-        if not isinstance(payload, dict) or set(payload) != expected:
-            raise ValueError(f"state JSON must have exactly the keys {sorted(expected)}")
-        state = cls(np.asarray(payload["covariance"], dtype=float))
-        if state.n != payload["n"]:
-            raise ValueError(f"declared n={payload['n']} does not match covariance shape")
-        declared = float(payload["alpha"])
-        if not CheckResult.within(abs(declared - state.alpha), abs(declared)):
-            raise ValueError(
-                f"declared alpha={declared} does not match covariance trace {state.alpha}"
-            )
-        return state
 
 
 @dataclass(frozen=True, eq=False)

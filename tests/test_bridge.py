@@ -279,6 +279,39 @@ def test_structured_averages_draw_no_sample_rows(monkeypatch):
     assert rescan == scan
 
 
+def test_estimate_does_not_depend_on_its_companions():
+    from pcsft import bridge
+
+    f = quartic_benchmark()
+    q = ClassicalVariable.quadratic(BlockOperator(np.eye(2)), 0.5)
+    rho = GaussianState.isotropic(1, 0.3)
+    together = bridge._reduce([f, q], rho, 9, 50_000)
+    alone = [classical_average(v, rho, seed=9, count=50_000) for v in (f, q)]
+    assert together == alone  # bit for bit, chunk sums in the same order
+
+
+def test_equal_support_operators_are_formed_once_per_chunk(monkeypatch):
+    from pcsft import bridge
+
+    calls = []
+    forms = bridge._quadratic_forms
+
+    def counted(z, g):
+        calls.append(g)
+        return forms(z, g)
+
+    monkeypatch.setattr(bridge, "_quadratic_forms", counted)
+    # amplify(f) and amplify(quad) carry equal operators (A = I): one form per chunk
+    alpha_scan(quartic_benchmark(), GaussianState.isotropic(1, 1.0), (0.1,), seed=4, count=2 * ROW_BLOCK + 5)
+    assert len(calls) == 3
+    calls.clear()
+    rho = GaussianState.isotropic(1, 0.3)
+    f = ClassicalVariable.quadratic(BlockOperator(np.eye(2)))
+    g = ClassicalVariable.quadratic(BlockOperator(2.0 * np.eye(2)))
+    bridge._reduce([f, g], rho, 9, ROW_BLOCK + 1)
+    assert len(calls) == 4  # unequal operators: two forms per chunk, two chunks
+
+
 def test_quantum_average_basics():
     a = ComplexOperator(np.diag([1.0, 3.0]).astype(complex))
     assert quantum_average(DensityOperator.maximally_mixed(2), a) == pytest.approx(2.0)

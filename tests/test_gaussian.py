@@ -8,8 +8,6 @@ compared against the closed-form block/trace formulas, so the two code
 paths check each other.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -432,35 +430,6 @@ def test_sampling_argument_validation():
     with pytest.raises(ValueError):
         sample(rho, seed=0, count=1, start=-2)
     assert sample(rho, seed=0, count=0).shape == (0, 2)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-# ---------------------------------------------------------------------------
-
-
-def test_json_roundtrip_is_byte_identical():
-    rho = random_j_invariant_state(np.random.default_rng(16), 2)
-    text = rho.to_json()
-    again = GaussianState.from_json(text)
-    assert again.to_json() == text
-    np.testing.assert_array_equal(again.covariance, rho.covariance)
-    payload = json.loads(text)
-    assert set(payload) == {"n", "covariance", "alpha"}
-
-
-def test_json_rejects_malformed_payloads():
-    rho = GaussianState.isotropic(1, 1.0)
-    good = json.loads(rho.to_json())
-    bad = dict(good, extra=1)
-    with pytest.raises(ValueError):
-        GaussianState.from_json(json.dumps(bad))
-    bad = dict(good, alpha=2.5)
-    with pytest.raises(ValueError):
-        GaussianState.from_json(json.dumps(bad))
-    bad = dict(good, n=7)
-    with pytest.raises(ValueError):
-        GaussianState.from_json(json.dumps(bad))
 
 
 # ---------------------------------------------------------------------------
