@@ -6,7 +6,6 @@ from .symplectic import (
     CheckResult,
     ComplexOperator,
     PhaseVector,
-    apply_j,
     complex_to_real,
     hermitian_product,
     is_j_commuting,
@@ -37,7 +36,6 @@ from .dynamics import (
     flow_oddness_defect,
     heisenberg_evolve,
     integrate,
-    lift_variable,
     linear_flow,
     norm_preservation_defect,
     q_squared_p,
@@ -70,8 +68,6 @@ from .fieldlab import (
     laplacian_matrix,
     momentum_average,
     plane_wave,
-    position_average,
-    quartic_field_energy,
 )
 from .experiments import (
     ConfigError,

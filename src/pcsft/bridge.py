@@ -32,8 +32,7 @@ call. Only black boxes get shaped rows, from the same shaping code as
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -263,9 +262,6 @@ class CorrespondenceReport:
     sample_count: int
     seed: int
     conventions: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     def to_csv(self, path) -> None:
         write_csv(

@@ -17,10 +17,10 @@ is one fused BLAS kernel; any other Hamiltonian is evaluated through its
 
 Every Hamiltonian is a :class:`pcsft.variables.ClassicalVariable`, so
 ``values`` / ``gradients`` act on (..., 2n) batches of flattened phase
-points and ``value`` / ``gradient`` on single :class:`PhaseVector`
-points. ``QuadraticHamiltonian`` is the energy form of a symmetric
-kernel: structured when the kernel commutes with J, a black box with
-exact callbacks otherwise. ``NonquadraticHamiltonian`` is the subclass
+points and ``gradient`` on a single :class:`PhaseVector` point.
+``QuadraticHamiltonian`` is the energy form of a symmetric kernel:
+structured when the kernel commutes with J, a black box with exact
+callbacks otherwise. ``NonquadraticHamiltonian`` is the subclass
 whose gradient is sure to exist, and any variable with a gradient can
 be integrated as it is.
 """
@@ -55,7 +55,6 @@ __all__ = [
     "schrodinger_flow",
     "integrate",
     "heisenberg_evolve",
-    "lift_variable",
     "norm_preservation_defect",
     "flow_oddness_defect",
     "q_squared_p",
@@ -182,8 +181,7 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
             f"spectral flow needs a J-commuting kernel "
             f"(defect {h.j_invariant.defect:.3e})"
         )
-    w, v = h._complex_eigensystem
-    u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u_c = _spectral_unitary(*h._complex_eigensystem, t)
     return BlockOperator.from_pair(u_c.real, -u_c.imag)
 
 
@@ -192,8 +190,12 @@ def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
     check = m.is_hermitian()
     if not check:
         raise ValueError(f"operator must be hermitian (defect {check.defect:.3e})")
-    w, v = np.linalg.eigh(m.matrix)
-    return ComplexOperator((v * np.exp(-1j * w * t)) @ v.conj().T)
+    return ComplexOperator(_spectral_unitary(*np.linalg.eigh(m.matrix), t))
+
+
+def _spectral_unitary(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iMt) from the eigensystem M = v diag(w) v^H of a hermitian M."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +217,13 @@ class Trajectory:
     dt: float
     sweeps: Optional[np.ndarray] = None
 
-    @property
-    def is_batch(self) -> bool:
-        return self.states.ndim == 3
-
     def to_csv(self, path) -> None:
         """Write t, q_0..q_{n-1}, p_0..p_{n-1}, energy, norm rows.
 
         Floats are written with repr (shortest round-trip form), so
         identical trajectories serialise to identical bytes.
         """
-        if self.is_batch:
+        if self.states.ndim == 3:
             raise ValueError("CSV export is defined for single trajectories only")
         n = self.states.shape[1] // 2
         header = (
@@ -464,46 +462,13 @@ class _StructuredField:
 def heisenberg_evolve(a: BlockOperator, h: QuadraticHamiltonian, t: float) -> BlockOperator:
     """Observable kernel at time t: A_t = U_t^T A U_t with U_t = exp(JHt).
 
-    Matches the lifted variable: (A_t psi, psi) = (A U_t psi, U_t psi).
+    So (A_t psi, psi) = (A U_t psi, U_t psi): the observable carried by
+    the flow.
     """
     if a.n != h.n:
         raise ValueError("dimension mismatch between observable and Hamiltonian")
     u = linear_flow(h, t)
     return u.T @ a @ u
-
-
-def lift_variable(h, f0: ClassicalVariable, t: float, dt: Optional[float] = None) -> ClassicalVariable:
-    """Variable transported along the flow: f_t(psi) = f0(Phi_t psi).
-
-    For a quadratic Hamiltonian the flow map is the exact matrix U_t and
-    the lifted variable carries an exact gradient U_t^T grad f0(U_t psi).
-    For a nonquadratic Hamiltonian each evaluation integrates the batch
-    forward with the midpoint rule (default dt = |t| / 200), and the
-    result is value-only.
-    """
-    if isinstance(h, QuadraticHamiltonian):
-        if f0.n != h.n:
-            raise ValueError("dimension mismatch between variable and Hamiltonian")
-        u = linear_flow(h, t).matrix
-
-        def value(pts):
-            return f0.values(pts @ u.T)
-
-        grad = None
-        if f0.has_gradient:
-            def grad(pts):
-                return f0.gradients(pts @ u.T) @ u
-
-        return ClassicalVariable.from_callbacks(value, grad, n=f0.n)
-
-    step = abs(t) / 200.0 if dt is None else dt
-
-    def value(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        moved = integrate(h, pts, t, step).states[-1]
-        return f0.values(moved)
-
-    return ClassicalVariable.from_callbacks(value, None, n=f0.n)
 
 
 def norm_preservation_defect(h, psi: PhaseVector) -> float:

@@ -9,7 +9,7 @@ matrix in both pictures.
 
 Sign and normalisation conventions:
 * kinetic kernel = -Laplacian / (2 mass), with the 3-point Laplacian
-  and either periodic wrap-around or Dirichlet (zero outside) ends;
+  and periodic wrap-around;
 * field energy of a kernel R is (1/2) Re <R psi, psi> dx;
 * momentum average uses the unitary Fourier normalisation
   psi_tilde = dx * fft(psi) / sqrt(2 pi), dk = 2 pi / (N dx), so that
@@ -27,6 +27,7 @@ import numpy as np
 
 from ._csvio import write_csv
 from .bridge import MonteCarloEstimate, classical_average
+from .dynamics import _spectral_unitary
 from .gaussian import GaussianState, pure_state_measure
 from .symplectic import ComplexOperator, complex_to_real
 from .variables import ClassicalVariable
@@ -41,40 +42,33 @@ __all__ = [
     "gaussian_packet",
     "free_field_evolve",
     "interacting_evolve",
-    "position_average",
     "momentum_average",
     "fourier_transform",
     "field_energy",
-    "quartic_field_energy",
     "field_pure_state",
     "gaussian_field_average",
 ]
 
-_BOUNDARIES = ("periodic", "dirichlet")
-
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Uniform grid x_j = x0 + j dx, j = 0..n_points-1."""
+    """Uniform periodic grid x_j = x0 + j dx, j = 0..n_points-1."""
 
     n_points: int
     dx: float
     x0: float = 0.0
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError("need at least two grid points")
         if self.dx <= 0:
             raise ValueError("dx must be positive")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}")
 
     @classmethod
-    def centered(cls, n_points: int, length: float, boundary: str = "periodic") -> "FieldGrid":
+    def centered(cls, n_points: int, length: float) -> "FieldGrid":
         """Grid of given total length with points symmetric about 0."""
         dx = length / n_points
-        return cls(n_points, dx, x0=-(n_points - 1) * dx / 2.0, boundary=boundary)
+        return cls(n_points, dx, x0=-(n_points - 1) * dx / 2.0)
 
     @property
     def x(self) -> np.ndarray:
@@ -106,9 +100,6 @@ class FieldState:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.dx)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def euclidean_coordinates(self) -> np.ndarray:
         """sqrt(dx)-scaled complex coordinates; Euclidean norm = L2 norm."""
         return self.values * math.sqrt(self.grid.dx)
@@ -124,16 +115,15 @@ class FieldState:
 
 
 def laplacian_matrix(grid: FieldGrid) -> np.ndarray:
-    """3-point Laplacian (psi_{j+1} - 2 psi_j + psi_{j-1}) / dx^2."""
+    """3-point periodic Laplacian (psi_{j+1} - 2 psi_j + psi_{j-1}) / dx^2."""
     n = grid.n_points
     lap = np.zeros((n, n))
     idx = np.arange(n)
     lap[idx, idx] = -2.0
     lap[idx[:-1], idx[:-1] + 1] = 1.0
     lap[idx[:-1] + 1, idx[:-1]] = 1.0
-    if grid.boundary == "periodic":
-        lap[0, n - 1] = 1.0
-        lap[n - 1, 0] = 1.0
+    lap[0, n - 1] = 1.0
+    lap[n - 1, 0] = 1.0
     return lap / grid.dx**2
 
 
@@ -168,8 +158,8 @@ class KernelOperator:
 
     @classmethod
     def potential(cls, grid: FieldGrid, v) -> "KernelOperator":
-        """Multiplication kernel diag(V(x_j)); v is a callable or an array."""
-        values = np.asarray(v(grid.x) if callable(v) else v, dtype=float)
+        """Multiplication kernel diag(V(x_j)) of a callable V."""
+        values = np.asarray(v(grid.x), dtype=float)
         if values.shape != (grid.n_points,):
             raise ValueError("potential must produce one value per grid point")
         return cls(grid, np.diag(values))
@@ -225,20 +215,12 @@ def free_field_evolve(psi0: FieldState, t: float) -> FieldState:
 def interacting_evolve(psi0: FieldState, r: KernelOperator, t: float) -> FieldState:
     """Evolve by exp(-iRt) for a kernel R on the field's grid."""
     _check_grid(r, psi0.grid)
-    w, v = r.eigensystem
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = _spectral_unitary(*r.eigensystem, t)
     return FieldState(psi0.grid, u @ psi0.values)
 
 
-def position_average(psi: FieldState) -> float:
-    """(1/2) sum x_j |psi_j|^2 dx."""
-    return 0.5 * float(np.sum(psi.grid.x * np.abs(psi.values) ** 2) * psi.grid.dx)
-
-
 def momentum_average(psi: FieldState) -> float:
-    """(1/2) sum k |psi_tilde(k)|^2 dk; periodic grids only."""
-    if psi.grid.boundary != "periodic":
-        raise ValueError("momentum average requires a periodic grid")
+    """(1/2) sum k |psi_tilde(k)|^2 dk."""
     n, dx = psi.grid.n_points, psi.grid.dx
     k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
     power = np.abs(np.fft.fft(psi.values)) ** 2
@@ -248,8 +230,6 @@ def momentum_average(psi: FieldState) -> float:
 
 def fourier_transform(psi: FieldState):
     """(k, amplitudes) sorted by k, normalised so sum |amp|^2 dk = |psi|^2."""
-    if psi.grid.boundary != "periodic":
-        raise ValueError("Fourier transform requires a periodic grid")
     n, dx = psi.grid.n_points, psi.grid.dx
     k = 2.0 * np.pi * np.fft.fftfreq(n, dx)
     amps = np.fft.fft(psi.values) * dx / math.sqrt(2.0 * np.pi)
@@ -262,14 +242,6 @@ def field_energy(psi: FieldState, r: KernelOperator) -> float:
     _check_grid(r, psi.grid)
     val = complex(np.vdot(psi.values, r.matrix @ psi.values)) * psi.grid.dx
     return 0.5 * val.real
-
-
-def quartic_field_energy(psi: FieldState, r: KernelOperator, coupling: float) -> float:
-    """Quadratic energy plus coupling * sum |psi_j|^4 dx (coupling >= 0)."""
-    if coupling < 0:
-        raise ValueError("coupling must be nonnegative")
-    quartic = float(np.sum(np.abs(psi.values) ** 4) * psi.grid.dx)
-    return field_energy(psi, r) + coupling * quartic
 
 
 def field_pure_state(psi: FieldState, alpha: float) -> GaussianState:

@@ -158,18 +158,6 @@ class DensityOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def pure(cls, psi) -> "DensityOperator":
-        psi = np.asarray(psi, dtype=complex)
-        nrm = float(np.linalg.norm(psi))
-        if not CheckResult.within(abs(nrm - 1.0), 1.0):
-            raise ValueError(f"pure state vector must be normalised, got norm {nrm}")
-        return cls(np.outer(psi, psi.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityOperator":
-        return cls(np.eye(n, dtype=complex) / n)
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 

@@ -10,7 +10,7 @@ complex n x n matrices which is implemented here by
 
 Conventions fixed by this module and relied on everywhere else:
 
-* ``apply_j((q, p)) == (p, -q)``.
+* ``j_matrix(n) @ (q, p) == (p, -q)``.
 * ``symplectic_form(psi1, psi2) == dot(p2, q1) - dot(p1, q2)``.
 * ``hermitian_product`` is linear in the first slot and conjugate
   linear in the second, so it equals ``sum(z1 * conj(z2))`` for the
@@ -20,7 +20,6 @@ Conventions fixed by this module and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "BlockOperator",
     "ComplexOperator",
     "j_matrix",
-    "apply_j",
     "j_commutation_defect",
     "is_j_commuting",
     "symplectic_form",
@@ -123,23 +121,8 @@ class PhaseVector:
         n = flat.size // 2
         return cls(flat[:n], flat[n:])
 
-    @classmethod
-    def from_complex(cls, z) -> "PhaseVector":
-        """Inverse of :meth:`to_complex`: q = Re z, p = Im z."""
-        z = np.asarray(z, dtype=complex)
-        return cls(z.real.copy(), z.imag.copy())
-
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.p])
-
-    def to_complex(self) -> np.ndarray:
-        return self.q + 1j * self.p
-
-    def norm_sq(self) -> float:
-        return float(self.q @ self.q + self.p @ self.p)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,22 +146,13 @@ class BlockOperator:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_blocks(cls, a11, a12, a21, a22) -> "BlockOperator":
-        a11, a12, a21, a22 = (np.asarray(b, dtype=float) for b in (a11, a12, a21, a22))
-        if not (a11.shape == a12.shape == a21.shape == a22.shape) or a11.ndim != 2:
-            raise ValueError("all four blocks must be n x n with equal shapes")
-        return cls(np.block([[a11, a12], [a21, a22]]))
-
-    @classmethod
     def from_pair(cls, d, s) -> "BlockOperator":
         """J-commuting operator [[D, S], [-S, D]] from its two blocks."""
         d = np.asarray(d, dtype=float)
         s = np.asarray(s, dtype=float)
-        return cls.from_blocks(d, s, -s, d)
-
-    @classmethod
-    def identity(cls, n: int) -> "BlockOperator":
-        return cls(np.eye(2 * n))
+        if d.shape != s.shape or d.ndim != 2:
+            raise ValueError("both blocks must be n x n with equal shapes")
+        return cls(np.block([[d, s], [-s, d]]))
 
     @property
     def n(self) -> int:
@@ -204,17 +178,9 @@ class BlockOperator:
         n = self.n
         return self.matrix[n:, n:]
 
-    def apply(self, psi: PhaseVector) -> PhaseVector:
-        if psi.n != self.n:
-            raise ValueError(f"dimension mismatch: operator n={self.n}, vector n={psi.n}")
-        return PhaseVector.from_flat(self.matrix @ psi.flat())
-
-    def transpose(self) -> "BlockOperator":
-        return BlockOperator(self.matrix.T)
-
     @property
     def T(self) -> "BlockOperator":
-        return self.transpose()
+        return BlockOperator(self.matrix.T)
 
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
@@ -227,9 +193,6 @@ class BlockOperator:
         if other.n != self.n:
             raise ValueError("dimension mismatch in operator product")
         return BlockOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return BlockOperator(self.matrix + other.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,15 +215,6 @@ class ComplexOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n,):
-            raise ValueError(f"dimension mismatch: operator n={self.n}, vector shape {z.shape}")
-        return self.matrix @ z
-
-    def adjoint(self) -> "ComplexOperator":
-        return ComplexOperator(self.matrix.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -271,18 +225,8 @@ class ComplexOperator:
         scale = float(np.max(np.abs(self.matrix)))
         return CheckResult.within(self.hermiticity_defect(), scale, tol)
 
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch in operator product")
-        return ComplexOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        return ComplexOperator(self.matrix + other.matrix)
-
     def __mul__(self, scalar: complex) -> "ComplexOperator":
         return ComplexOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -292,11 +236,6 @@ def j_matrix(n: int) -> np.ndarray:
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]])
-
-
-def apply_j(psi: PhaseVector) -> PhaseVector:
-    """Matrix-free action of J: (q, p) -> (p, -q)."""
-    return PhaseVector(psi.p, -psi.q)
 
 
 def _j_flat(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -74,9 +74,9 @@ class QuadraticTerm:
 class ClassicalVariable:
     """Real-valued function on phase space with batch evaluation.
 
-    Build with :meth:`from_terms` / :meth:`quadratic` / :meth:`polynomial`
-    for the structured representation, or :meth:`from_callbacks` for a
-    black box.
+    Build with ``ClassicalVariable(terms=...)`` / :meth:`quadratic` /
+    :meth:`polynomial` for the structured representation, or
+    :meth:`from_callbacks` for a black box.
     """
 
     def __init__(self, *, terms=None, value_fn=None, gradient_fn=None, n=None):
@@ -107,10 +107,6 @@ class ClassicalVariable:
         self._n = int(n)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, terms: Sequence[QuadraticTerm]) -> "ClassicalVariable":
-        return cls(terms=terms)
 
     @classmethod
     def quadratic(cls, a: BlockOperator, coefficient: float = 0.5) -> "ClassicalVariable":
@@ -167,9 +163,6 @@ class ClassicalVariable:
         if self._terms is not None:
             return self._from_forms([_quadratic_forms(pts, a) for a in self._operators])
         return np.asarray(self._value_fn(pts), dtype=float)
-
-    def value(self, psi: PhaseVector) -> float:
-        return float(self.values(psi.flat()[None, :])[0])
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
         pts = self._check_batch(pts)
@@ -277,11 +270,6 @@ class ClassicalVariable:
             gradient_fn=grad,
             n=self.n,
         )
-
-    def __mul__(self, factor: float) -> "ClassicalVariable":
-        return self.scaled(float(factor))
-
-    __rmul__ = __mul__
 
     # -- helpers ---------------------------------------------------------
 

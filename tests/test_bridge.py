@@ -8,7 +8,6 @@ while its projected operator is 1/2, so the correspondence error is
 exactly alpha: slope one on a log-log plot.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -226,7 +225,7 @@ def _support_cases():
     for rho in states:
         a, b = _psd_operator(rng, rho.n), _psd_operator(rng, rho.n)
         terms = [QuadraticTerm(0.5, a, 1), QuadraticTerm(0.3, b, 2), QuadraticTerm(0.2, a, 3)]
-        cases.append((rho, ClassicalVariable.from_terms(terms)))
+        cases.append((rho, ClassicalVariable(terms=terms)))
     return cases
 
 
@@ -314,11 +313,12 @@ def test_equal_support_operators_are_formed_once_per_chunk(monkeypatch):
 
 def test_quantum_average_basics():
     a = ComplexOperator(np.diag([1.0, 3.0]).astype(complex))
-    assert quantum_average(DensityOperator.maximally_mixed(2), a) == pytest.approx(2.0)
+    mixed = DensityOperator(np.eye(2) / 2)
+    assert quantum_average(mixed, a) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        quantum_average(DensityOperator.maximally_mixed(2), ComplexOperator(np.array([[1j, 0], [0, 0]])))
+        quantum_average(mixed, ComplexOperator(np.array([[1j, 0], [0, 0]])))
     with pytest.raises(ValueError):
-        quantum_average(DensityOperator.maximally_mixed(3), a)
+        quantum_average(DensityOperator(np.eye(3) / 3), a)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +426,8 @@ def test_alpha_scan_determinism_and_serialisation(tmp_path):
     shape = GaussianState.isotropic(1, 1.0)
     r1 = alpha_scan(f, shape, alphas=(0.1, 0.01), seed=13, count=5_000)
     r2 = alpha_scan(f, shape, alphas=(0.1, 0.01), seed=13, count=5_000)
-    assert r1.to_json() == r2.to_json()
-    payload = json.loads(r1.to_json())
-    assert payload["conventions"]
+    assert r1 == r2
+    assert r1.conventions
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     r1.to_csv(p1)
     r2.to_csv(p2)

@@ -453,13 +453,13 @@ def test_density_operator_validation():
         DensityOperator(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="at least 1"):
         DensityOperator(np.zeros((0, 0)))
-    d = DensityOperator.maximally_mixed(4)
+    d = DensityOperator(np.eye(4) / 4)
     assert d.purity() == pytest.approx(0.25)
     psi = np.array([1.0, 1j]) / np.sqrt(2)
-    p = DensityOperator.pure(psi)
+    p = DensityOperator(np.outer(psi, psi.conj()))
     assert p.purity() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        DensityOperator.pure(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator(np.ones((2, 2)))  # an unnormalised pure state
 
 
 def _sym(rng, n):

@@ -1,19 +1,28 @@
-"""Start-up cost: importing pcsft loads no scipy module.
+"""Start-up cost and the package's export surface.
 
 Every ``pcsft run`` is a fresh process, so what ``import pcsft`` loads is
 paid on every run. scipy is loaded only by the two calls that need it:
 ``gaussian.sample`` (``scipy.special.ndtri``) and the "expm" method of
 ``dynamics.linear_flow`` (``scipy.linalg.expm``). Each stage is checked
 in one fresh interpreter, because the test process has scipy loaded.
+
+``pcsft/__init__.py`` re-exports exactly the ``__all__`` entries of its
+modules, so a name deleted from a module cannot be left behind in either.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pcsft
+
+# tolerance constants stay in pcsft.symplectic, not the package namespace
+NOT_REEXPORTED = {"DEFAULT_TOL", "FD_TOL"}
 
 SCRIPT = """
 import json, sys
@@ -57,3 +66,20 @@ def test_scipy_loads_only_at_first_use(tmp_path):
     assert "scipy.special" in stages["sample"]
     assert "scipy.linalg" not in stages["sample"]
     assert "scipy.linalg" in stages["expm"]
+
+
+def test_every_public_name_resolves_and_is_reexported():
+    declared = set()
+    for info in pkgutil.iter_modules(pcsft.__path__):
+        module = importlib.import_module(f"pcsft.{info.name}")
+        names = getattr(module, "__all__", ())
+        assert len(set(names)) == len(names), f"pcsft.{info.name}.__all__ repeats a name"
+        for name in names:
+            assert hasattr(module, name), f"pcsft.{info.name}.__all__ names missing {name!r}"
+            declared.add(name)
+    exported = {
+        name
+        for name, value in vars(pcsft).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == declared - NOT_REEXPORTED
