@@ -8,12 +8,12 @@ is what ties the classical linear dynamics to the quantum one. General
 rule, which is symplectic, second order, and conserves every quadratic
 invariant of the flow exactly, in particular the squared norm whenever
 the Hamiltonian satisfies the norm-preservation identity
-(J grad H(psi), psi) = 0. Each step's fixed-point sweeps start from an
-extrapolation of the previous states, and rows are integrated in
-cache-sized blocks, each with its own work buffers. For structured
-Hamiltonians (sums of powers of quadratic forms) the field dt J grad H
-is one fused BLAS kernel; any other Hamiltonian is evaluated through its
-``gradients`` callback.
+(J grad H(psi), psi) = 0. For a Hamiltonian f((A psi, psi)) of one
+J-commuting operator A that conservation makes every step the same
+Cayley rotation in A's eigenbasis, found once per row by a scalar Newton
+iteration. Any other Hamiltonian is evaluated through its ``gradients``
+callback, by fixed-point sweeps that start from an extrapolation of the
+previous states. Rows are integrated in cache-sized blocks.
 
 Every Hamiltonian is a :class:`pcsft.variables.ClassicalVariable`, so
 ``values`` / ``gradients`` act on (..., 2n) batches of flattened phase
@@ -208,7 +208,8 @@ class Trajectory:
     """Integration record: states has shape (steps+1, 2n) for a single
     initial point, or (steps+1, m, 2n) for a batch. ``sweeps`` holds the
     fixed-point sweeps of each step as filled by :func:`integrate`: the
-    most any block of rows took."""
+    most any block of rows took, and 0 for a Hamiltonian of one operator,
+    whose steps are solved in closed form."""
 
     times: np.ndarray
     states: np.ndarray
@@ -249,35 +250,35 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
 
     The step count is round(|t_final| / dt), so the effective step is
     t_final / steps and the trajectory lands exactly on t_final. Each
-    step solves x = y + dt * J grad H((y + x)/2) by fixed-point
-    iteration to ``SWEEP_TOL`` relative to the state scale 1 + max|y|.
+    step solves x = y + dt * J grad H((y + x)/2). Rows (leading batch
+    axes flattened) are integrated in blocks of TILE rows, each through
+    every step on its own, so a block's buffers stay in cache and a
+    row's trajectory does not depend on the rows of other blocks.
 
-    Step 0 starts from the Euler guess y + dt * J grad H(y). Every later
-    step starts from the polynomial through the last q + 1 states at the
-    next time, q = min(k, PREDICTOR_ORDER) (Hairer, Lubich & Wanner,
-    *Geometric Numerical Integration*, VIII.6.1), which is accurate to
-    O(dt^(q+1)) and costs no field evaluation. If the sweeps from that
-    start fail (``MAX_SWEEPS`` sweeps, or a non-finite row), the step is
-    redone from the Euler guess; :class:`IntegrationError` is raised
-    only when that fails too, naming the rows that failed.
+    A structured Hamiltonian of one operator, H = f((A psi, psi)) (a
+    QuadraticHamiltonian with a J-commuting kernel, or a polynomial such
+    as ``NonquadraticHamiltonian.polynomial``), is solved in closed form
+    by :func:`_eigenbasis_solve`: in the eigenbasis of A's complex image
+    every step is the same Cayley rotation of each row, found once by a
+    scalar Newton iteration per row, and ``Trajectory.sweeps`` reads 0.
 
-    Rows (leading batch axes flattened) are integrated in blocks of TILE
-    rows, each through every step with its own work buffers and field,
-    so a block's state, history and sweep buffers stay in cache. A
-    block's rows do not depend on the other blocks: its convergence
-    scale is 1 + max|y| over its own rows. ``Trajectory.sweeps[k]`` is
-    the largest number of sweeps any block took at step k, counting
-    both starts when a step was redone.
+    Any other ``h`` is solved by fixed-point sweeps over its
+    ``gradients`` callback, to which ``pcsft.symplectic._j_flat`` applies
+    J, until the largest change is within ``SWEEP_TOL`` times the larger
+    of max|y| and max|x| over the block. Step 0 starts from the Euler
+    guess y + dt * J grad H(y). Every later step starts from the
+    polynomial through the last q + 1 states at the next time,
+    q = min(k, PREDICTOR_ORDER) (Hairer, Lubich & Wanner, *Geometric
+    Numerical Integration*, VIII.6.1), which is accurate to O(dt^(q+1))
+    and costs no field evaluation. If the sweeps from that start fail
+    (``MAX_SWEEPS`` sweeps, or a non-finite row), the step is redone from
+    the Euler guess. ``Trajectory.sweeps[k]`` is the largest number of
+    sweeps any block took at step k, counting both starts when a step
+    was redone.
 
-    The field dt * J grad H is built once per block: for a structured
-    Hamiltonian (a QuadraticHamiltonian with a J-commuting kernel, or
-    any structured variable such as ``NonquadraticHamiltonian.polynomial``)
-    it is one BLAS matmul per sweep against a precomputed [A | A J^T]
-    block per distinct operator A, scaled row-wise by
-    dt * 2 f'((A psi, psi)); any other ``h`` is evaluated through its
-    ``gradients`` callback, to which ``pcsft.symplectic._j_flat``
-    applies J. A ClassicalVariable rejects a batch whose last axis is
-    not 2n.
+    Either solver raises :class:`IntegrationError` naming the global
+    indices of the rows that failed. A ClassicalVariable rejects a batch
+    whose last axis is not 2n.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -300,13 +301,16 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     states = np.empty((steps + 1,) + rows.shape)
     states[0] = rows
     sweeps = np.zeros(steps, dtype=int)
-    for first in range(0, len(rows), TILE):
-        history = states[:, first : first + TILE]
-        field = _field(h, step_dt, history.shape[1:])
-        work = tuple(np.empty(history.shape[1:]) for _ in range(4))
-        for k in range(steps):
-            taken = _midpoint_step(field, history, k, work, first)
-            sweeps[k] = max(sweeps[k], taken)
+    if isinstance(h, ClassicalVariable) and h.is_structured and len(h._operators) == 1:
+        _eigenbasis_solve(h, step_dt, states)
+    else:
+        field = partial(_callback_field, h, step_dt)
+        for first in range(0, len(rows), TILE):
+            history = states[:, first : first + TILE]
+            work = tuple(np.empty(history.shape[1:]) for _ in range(4))
+            for k in range(steps):
+                taken = _midpoint_step(field, history, k, work, first)
+                sweeps[k] = max(sweeps[k], taken)
 
     states = states.reshape((steps + 1,) + y.shape)
     times = np.arange(steps + 1) * step_dt
@@ -324,7 +328,10 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
 PREDICTOR_ORDER = 6
 TILE = 1024
 # A step's sweeps stop once the largest change is within SWEEP_TOL times
-# the state scale 1 + max|y|, and fail after MAX_SWEEPS sweeps.
+# the larger of max|y| and max|x|, and fail after MAX_SWEEPS sweeps. The
+# eigenbasis solver's Newton iteration stops once the largest rotation
+# angle it changes is within SWEEP_TOL, and fails after MAX_SWEEPS
+# iterations.
 SWEEP_TOL = 1e-12
 MAX_SWEEPS = 50
 # weights of history[k-q..k], oldest first, in the degree-q extrapolant
@@ -334,26 +341,103 @@ _PREDICTOR_WEIGHTS = tuple(
 )
 
 
+def _eigenbasis_solve(h, dt, states) -> None:
+    """Fill states[1:] with the midpoint steps of H = f((A psi, psi)) from
+    the rows of states[0], for the one operator A of a structured ``h``.
+
+    Let M = V diag(lam) V^H be the complex image of A and z_hat = V^H z a
+    row's eigen-coordinates. Since grad H = 2 f'(s) A psi, the midpoint
+    equation is z_hat' = z_hat (1 - i c lam / 2) / (1 + i c lam / 2) with
+    c = 2 dt f'(s_mid), where s_mid = sum lam |z_hat|^2 / (1 + c^2 lam^2 / 4)
+    is s at the midpoint. This rotation keeps every |z_hat_j| (the
+    midpoint rule conserves quadratic invariants; Hairer, Lubich &
+    Wanner, IV.2), so c is the same at every step: :func:`_newton_slopes`
+    finds each row's c once, and every step multiplies z_hat by the same
+    unit phases. A row's interleaved (Re, Im) view maps to (q, p) by one
+    real matmul against ``basis``, the real form of V, which is
+    orthogonal, so the view of (q, p) is (q, p) @ basis^T.
+    """
+    h._check_batch(states[0])
+    n = h.n
+    lam, v = np.linalg.eigh(real_to_complex(BlockOperator(h._operators[0])).matrix)
+    basis = np.empty((2 * n, 2 * n))
+    basis[0::2, :n], basis[0::2, n:] = v.real.T, v.imag.T
+    basis[1::2, :n], basis[1::2, n:] = -v.imag.T, v.real.T
+    coeffs = {}  # {power: coefficient}
+    for _, c, k in h._grouping:
+        coeffs[k] = coeffs.get(k, 0.0) + c
+    for first in range(0, states.shape[1], TILE):
+        history = states[:, first : first + TILE]
+        z = np.empty((history.shape[1], n), dtype=complex)
+        with np.errstate(all="ignore"):  # a non-finite row is reported, not warned about
+            np.matmul(history[0], basis.T, out=z.view(float))
+            half = 0.5 * _newton_slopes(coeffs, dt, lam, np.abs(z) ** 2, first)[:, None] * lam
+        phases = (1.0 - 1j * half) / (1.0 + 1j * half)
+        for k in range(1, len(history)):
+            z *= phases
+            np.matmul(z.view(float), basis, out=history[k])
+
+
+def _newton_slopes(coeffs, dt, lam, weights, first_row) -> np.ndarray:
+    """Per row, the root c of g(c) = c - 2 dt f'(s(c)) with
+    s(c) = sum_j lam_j w_j / (1 + c^2 lam_j^2 / 4), by Newton's method from
+    the explicit value 2 dt f'(s(0)), g'(c) = 1 - 2 dt f''(s) s'(c).
+
+    ``coeffs`` maps each power of f to its coefficient, ``weights`` holds
+    the w_j = |z_hat_j|^2 of each row. A row stops once its step changes
+    the largest angle c max|lam| by at most SWEEP_TOL; rows that do not
+    within MAX_SWEEPS iterations, or turn non-finite, raise
+    IntegrationError at step 0 under their global indices
+    (``first_row`` is the block's first).
+    """
+    top = max(coeffs)
+    # 2 dt f'(s) and 2 dt f''(s), highest power first, for Horner's rule
+    slope = [2.0 * dt * k * coeffs.get(k, 0.0) for k in range(top, 0, -1)]
+    curvature = [2.0 * dt * k * (k - 1) * coeffs.get(k, 0.0) for k in range(top, 1, -1)]
+    lam_w = weights * lam
+    quarter = (0.5 * lam) ** 2
+    scale = float(np.max(np.abs(lam)))
+    c = np.polyval(slope, lam_w.sum(axis=1))
+    active = np.ones(len(c), dtype=bool)
+    for _ in range(MAX_SWEEPS):
+        damp = 1.0 / (1.0 + c[:, None] ** 2 * quarter)
+        s = np.sum(lam_w * damp, axis=1)
+        ds = -2.0 * c * np.sum(lam_w * quarter * damp**2, axis=1)
+        step = (c - np.polyval(slope, s)) / (1.0 - np.polyval(curvature, s) * ds)
+        step[~active] = 0.0
+        c -= step
+        change = np.abs(step) * scale
+        # a row stops when it converges or turns non-finite
+        active &= ~(change <= SWEEP_TOL) & np.isfinite(c)
+        if not active.any():
+            break
+    failed = active | ~np.isfinite(c)
+    if failed.any():
+        residual = float(np.max(change[failed]))
+        raise IntegrationError(0, residual, (first_row + np.flatnonzero(failed)).tolist())
+    return c
+
+
 def _midpoint_step(field, history, k, work, first_row) -> int:
     """Solve x = y + field((y + x)/2) for y = history[k] into history[k+1];
     returns the sweeps it took, both starts counted. ``first_row`` is the
     global index of the block's first row, for the error."""
     y = history[k]
     x, change = work[0], work[3]
-    limit = SWEEP_TOL * (1.0 + float(np.abs(y, out=change).max()))
+    y_scale = float(np.abs(y, out=change).max())
     taken = 0
     with np.errstate(all="ignore"):  # divergence is reported, not warned about
         if k > 0:
             _extrapolate(history, k, x)
-            spent, residual = _sweep(field, y, history[k + 1], work, limit)
+            spent, converged, residual, limit = _sweep(field, y, y_scale, history[k + 1], work)
             taken += spent
-            if residual <= limit:
+            if converged:
                 return taken
         field(y, x)  # Euler guess
         x += y
-        spent, residual = _sweep(field, y, history[k + 1], work, limit)
+        spent, converged, residual, limit = _sweep(field, y, y_scale, history[k + 1], work)
         taken += spent
-        if residual <= limit:
+        if converged:
             return taken
     # a row that blew up stops the sweeps, and then it alone is named
     row_residuals = change.max(axis=-1)
@@ -368,90 +452,33 @@ def _extrapolate(history, k, out) -> None:
     np.einsum("j,j...->...", weights, history[k + 1 - len(weights) : k + 1], out=out)
 
 
-def _sweep(field, y, out, work, limit):
+def _sweep(field, y, y_scale, out, work):
     """Iterate x <- y + field((y + x)/2) from the start in work[0] until
-    the largest change is within ``limit``, then write x to ``out``.
-    Returns (sweeps, last residual); on failure work[3] holds |change|."""
+    the largest change is within SWEEP_TOL times the larger of ``y_scale``
+    (max|y|) and the iterate's max|x|, then write x to ``out``. Returns
+    (sweeps, converged, last residual, its limit); on failure work[3]
+    holds |change|."""
     x, x_next, mid, change = work
     for sweep in range(1, MAX_SWEEPS + 1):
         np.add(y, x, out=mid)
         np.divide(mid, 2.0, out=mid)
         field(mid, x_next)
         x_next += y
+        limit = SWEEP_TOL * max(y_scale, float(np.abs(x_next, out=mid).max()))
         residual = float(np.abs(np.subtract(x_next, x, out=change), out=change).max())
         x, x_next = x_next, x
         if not math.isfinite(residual):
             break
         if residual <= limit:
             np.copyto(out, x)
-            break
-    return sweep, residual
-
-
-def _field(h, dt, shape):
-    """The map field(pts, out): out = dt * J grad H(pts) on (..., 2n) batches
-    of the given shape, built once per integrate call."""
-    if not (isinstance(h, ClassicalVariable) and h.is_structured):
-        return partial(_callback_field, h, dt)
-    if shape[-1] != 2 * h.n:
-        raise ValueError(f"batch last axis must be 2n = {2 * h.n}, got {shape[-1]}")
-    return _StructuredField(h._operators, h._grouping, dt, shape)
+            return sweep, True, residual, limit
+    return sweep, False, residual, limit
 
 
 def _callback_field(h, dt, pts, out):
+    """out = dt * J grad H(pts) from the ``gradients`` callback."""
     _j_flat(np.asarray(h.gradients(pts)), out=out)
     out *= dt
-
-
-class _StructuredField:
-    """dt * J grad H for H = sum_A f_A((A psi, psi)), each f_A a polynomial.
-
-    grad H = sum_A 2 f_A'(s_A) A psi with s_A = (A psi, psi). Each distinct
-    operator of the variable's grouping gets an [A | A J^T] block, whose
-    product with a row gives A psi (hence s_A) and J A psi at once, and a
-    Horner rule for dt * 2 f_A'(s_A), its terms' coefficients summed per
-    power. A sweep is then one matmul plus row-wise scaling,
-    all into buffers made here. Leading batch axes are flattened into rows.
-    """
-
-    def __init__(self, operators, grouping, dt, shape):
-        dim = shape[-1]
-        rows = math.prod(shape[:-1])
-        coeffs = [{} for _ in operators]  # per operator, {power: coefficient}
-        for i, c, k in grouping:
-            coeffs[i][k] = coeffs[i].get(k, 0.0) + c
-        blocks, horners = [], []
-        for a, cs in zip(operators, coeffs):
-            blocks += [a, _j_flat(a)]  # row psi -> A psi, J A psi
-            # dt * 2 f'(s) = sum_k 2 dt k c_k s^(k-1), highest power first
-            horners.append([2.0 * dt * k * cs.get(k, 0.0) for k in range(max(cs), 0, -1)])
-        self._block = np.concatenate(blocks, axis=1)
-        self._prod = np.empty((rows, self._block.shape[1]))
-        # per operator: its Horner coefficients and views of A psi, J A psi
-        self._scaled = []
-        for i, horner in enumerate(horners):
-            a_pts = self._prod[:, 2 * i * dim : (2 * i + 1) * dim]
-            j_a_pts = self._prod[:, (2 * i + 1) * dim : (2 * i + 2) * dim]
-            self._scaled.append((horner, a_pts, j_a_pts))
-        self._s = np.empty(rows)
-        self._factor = np.empty((rows, 1))
-        self._tmp = np.empty((rows, dim)) if len(horners) > 1 else None
-
-    def __call__(self, pts, out):
-        # both are contiguous buffers, so these reshapes are views
-        pts, out = pts.reshape(-1, pts.shape[-1]), out.reshape(-1, out.shape[-1])
-        s, factor, phi = self._s, self._factor, self._factor[:, 0]
-        np.matmul(pts, self._block, out=self._prod)
-        for i, (horner, a_pts, j_a_pts) in enumerate(self._scaled):
-            np.einsum("ij,ij->i", pts, a_pts, out=s)
-            phi.fill(horner[0])
-            for c in horner[1:]:
-                phi *= s
-                phi += c
-            target = out if i == 0 else self._tmp
-            np.multiply(j_a_pts, factor, out=target)
-            if i > 0:
-                out += target
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -131,6 +132,15 @@ def _sub_seed(rng) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
+def _relative_defect(value, reference) -> float:
+    """|value - reference| relative to |reference|, at every scale: a zero
+    reference needs a zero defect."""
+    defect = abs(value - reference)
+    if reference == 0:
+        return math.inf if defect else 0.0
+    return float(defect / abs(reference))
+
+
 def _quartic_benchmark():
     return variables.ClassicalVariable.polynomial(
         symplectic.BlockOperator(np.eye(2)), [0.5, 0.5]
@@ -207,7 +217,7 @@ def _run_dispersion_preservation(params, seed, out_dir):
     a = _admissible_operator(rng, n)
     exact = gaussian.quadratic_average(rho, a)
     real_route = float(np.trace(a.matrix @ rho.covariance))
-    trace_defect = abs(exact - real_route) / max(1.0, abs(exact))
+    trace_defect = _relative_defect(real_route, exact)
 
     f = variables.ClassicalVariable.quadratic(a, coefficient=1.0)
     est = bridge.classical_average(f, rho, seed=_sub_seed(rng), count=count)
@@ -250,10 +260,7 @@ def _run_heisenberg_check(params, seed, out_dir):
         psi = rng.standard_normal(2 * n)
         lhs = psi @ a_t @ psi
         moved = u.matrix @ psi
-        value_defect = max(
-            value_defect,
-            abs(lhs - moved @ a.matrix @ moved) / max(1.0, abs(lhs)),
-        )
+        value_defect = max(value_defect, _relative_defect(moved @ a.matrix @ moved, lhs))
 
     hj = dynamics.QuadraticHamiltonian(_admissible_operator(rng, n))
     ac = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -550,7 +557,7 @@ def _run_field_correspondence(params, seed, out_dir):
     exact = 0.5 * gaussian.quadratic_average(
         rho_mixed, symplectic.ComplexOperator(kernel.matrix.astype(complex))
     )
-    trace_defect = abs(exact - mixed_expected) / max(1.0, abs(mixed_expected))
+    trace_defect = _relative_defect(exact, mixed_expected)
 
     psi = fieldlab.gaussian_packet(g, center=1.0, width=1.1, k0=2.0)
     evolved = fieldlab.interacting_evolve(psi, kernel, t)

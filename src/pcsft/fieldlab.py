@@ -122,8 +122,9 @@ def laplacian_matrix(grid: FieldGrid) -> np.ndarray:
     lap[idx, idx] = -2.0
     lap[idx[:-1], idx[:-1] + 1] = 1.0
     lap[idx[:-1] + 1, idx[:-1]] = 1.0
-    lap[0, n - 1] = 1.0
-    lap[n - 1, 0] = 1.0
+    # the wrap-around pair; on two points it is the neighbour pair again
+    lap[0, n - 1] += 1.0
+    lap[n - 1, 0] += 1.0
     return lap / grid.dx**2
 
 

@@ -21,7 +21,6 @@ from pcsft.dynamics import (
     NonquadraticHamiltonian,
     QuadraticHamiltonian,
     Trajectory,
-    _field,
     flow_oddness_defect,
     heisenberg_evolve,
     integrate,
@@ -310,23 +309,55 @@ def test_callback_hamiltonian_rejects_batch_of_wrong_width():
         integrate(h, 0.1 * np.ones((3, 4)), 0.1, 0.05)
 
 
-def test_integration_error_names_the_failing_rows(monkeypatch):
-    # H = (psi, psi)^2: the fixed-point map contracts for small rows and
-    # blows up for the large one, through the fused kernel and through
-    # the same Hamiltonian's callbacks
+def _black_box(h):
+    """The same Hamiltonian through its callbacks, integrated by sweeps."""
+    return NonquadraticHamiltonian(h.values, h.gradients, h.n)
+
+
+def _quartic_pair():
+    # H = (psi, psi)^2 as a black box and as a structured variable of two
+    # operators (equal operators built separately stay two): both are
+    # integrated by fixed-point sweeps over their gradients
     quartic = NonquadraticHamiltonian.polynomial(BlockOperator(np.eye(2)), [0.0, 1.0])
-    black_box = NonquadraticHamiltonian(quartic.values, quartic.gradients, 1)
+    halves = [ClassicalVariable.polynomial(BlockOperator(np.eye(2)), [0.0, 0.5]) for _ in range(2)]
+    return quartic, [_black_box(quartic), halves[0] + halves[1]]
+
+
+def _midpoint_residual(h, traj):
+    """Largest |x - y - dt J grad H((x + y)/2)| over the steps, relative to
+    the largest |x|."""
+    y, x = traj.states[:-1], traj.states[1:]
+    step = traj.times[1] - traj.times[0]
+    field = step * h.gradients((x + y) / 2) @ j_matrix(h.n).T
+    return float(np.max(np.abs(x - y - field)) / np.max(np.abs(x)))
+
+
+def test_integration_error_names_the_failing_rows(monkeypatch):
+    # the fixed-point map contracts for the small rows and blows up for
+    # the large one
+    quartic, sweeping = _quartic_pair()
     batch = np.array([[0.1, 0.0], [10.0, 0.0], [0.0, 0.2]])
-    for h in (quartic, black_box):
+    for h in sweeping:
         with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
             integrate(h, batch, 0.1, 0.1)
         assert err.value.rows == [1] and err.value.step == 0
-    # out of sweeps without blowing up: only the row still moving fails
+    # the closed-form solver integrates the same rows of the one-operator form
+    traj = integrate(quartic, batch, 0.1, 0.1)
+    assert _midpoint_residual(quartic, traj) <= 1e-14
+    np.testing.assert_allclose(traj.norms[-1], traj.norms[0], rtol=1e-14)
+    # out of sweeps (or Newton iterations) without blowing up: only the
+    # row still moving fails
     monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1)
-    rotation = QuadraticHamiltonian(BlockOperator(np.eye(2)))
-    with pytest.raises(IntegrationError) as err:
-        integrate(rotation, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), 0.1, 0.1)
-    assert err.value.rows == [1]
+    rotation = QuadraticHamiltonian(BlockOperator(np.diag([1.0, 4.0])))  # a black box
+    rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    for h in (rotation, quartic):
+        with pytest.raises(IntegrationError) as err:
+            integrate(h, rows, 0.1, 0.1)
+        assert err.value.rows == [1] and err.value.step == 0
+    # a row that is not finite fails the closed-form solver by name
+    monkeypatch.undo()
+    with pytest.raises(IntegrationError, match=r"rows \[2\]"):
+        integrate(quartic, np.array([[0.1, 0.0], [0.0, 0.2], [np.inf, 0.0]]), 0.1, 0.1)
 
 
 def _polynomial_hamiltonian():
@@ -335,7 +366,7 @@ def _polynomial_hamiltonian():
 
 
 def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
-    h = _polynomial_hamiltonian()
+    h = _black_box(_polynomial_hamiltonian())
     batch = 0.5 * np.random.default_rng(19).standard_normal((5, 4))
     dt, steps = 0.05, 20
     # Euler-only reference: a chain of one-step runs, each starting from
@@ -381,22 +412,28 @@ def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
 
 def test_row_blocks_integrate_alone():
     # each block of TILE rows runs through every step on its own, so a
-    # batch equals its blocks integrated alone, bit for bit
-    h = _polynomial_hamiltonian()
+    # batch equals its blocks integrated alone, bit for bit, on both solvers
+    poly = _polynomial_hamiltonian()
     batch = 0.3 * np.random.default_rng(20).standard_normal((2 * TILE + 37, 4))
-    whole = integrate(h, batch, 0.2, 0.02)
-    blocks = [integrate(h, batch[i : i + TILE], 0.2, 0.02) for i in range(0, len(batch), TILE)]
-    assert len(blocks) == 3
-    np.testing.assert_array_equal(whole.states, np.concatenate([b.states for b in blocks], axis=1))
-    np.testing.assert_array_equal(whole.sweeps, np.max([b.sweeps for b in blocks], axis=0))
-    # a row diverging in the third block is named by its global index
-    quartic = NonquadraticHamiltonian.polynomial(BlockOperator(np.eye(2)), [0.0, 1.0])
+    for h in (poly, _black_box(poly)):
+        whole = integrate(h, batch, 0.2, 0.02)
+        blocks = [integrate(h, batch[i : i + TILE], 0.2, 0.02) for i in range(0, len(batch), TILE)]
+        assert len(blocks) == 3
+        np.testing.assert_array_equal(whole.states, np.concatenate([b.states for b in blocks], axis=1))
+        np.testing.assert_array_equal(whole.sweeps, np.max([b.sweeps for b in blocks], axis=0))
+    # a row diverging in the third block is named by its global index, and
+    # so is a non-finite one under the closed-form solver
     rows = 0.1 * np.random.default_rng(21).standard_normal((2 * TILE + 37, 2))
     rows[2 * TILE + 5] = [10.0, 0.0]
-    for h in (quartic, NonquadraticHamiltonian(quartic.values, quartic.gradients, 1)):
+    quartic, sweeping = _quartic_pair()
+    for h in sweeping:
         with pytest.raises(IntegrationError, match=rf"rows \[{2 * TILE + 5}\]") as err:
             integrate(h, rows, 0.1, 0.1)
         assert err.value.rows == [2 * TILE + 5] and err.value.step == 0
+    rows[2 * TILE + 5] = [np.nan, 0.0]
+    with pytest.raises(IntegrationError) as err:
+        integrate(quartic, rows, 0.1, 0.1)
+    assert err.value.rows == [2 * TILE + 5] and err.value.step == 0
 
 
 def _two_operator_variables():
@@ -421,27 +458,124 @@ def _structured_hamiltonians():
 @pytest.mark.parametrize(
     "h", _structured_hamiltonians(), ids=["two-nonlinear", "nonlinear-and-linear", "quadratic", "polynomial"]
 )
-def test_fused_field_matches_gradients(h):
-    pts = np.random.default_rng(14).standard_normal((7, 4))
-    dt = 0.03
-    reference = dt * h.gradients(pts) @ j_matrix(2).T
-    field = np.empty_like(pts)
-    _field(h, dt, pts.shape)(pts, field)
-    assert np.max(np.abs(field - reference)) <= 1e-13 * np.max(np.abs(reference))
+def test_midpoint_step_solves_its_fixed_point(h):
+    # every step, by either solver, satisfies x = y + dt J grad H((x + y)/2)
+    # for the gradients the variable itself reports
+    batch = 0.5 * np.random.default_rng(14).standard_normal((7, 4))
+    traj = integrate(h, batch, 0.15, 0.03)
+    assert _midpoint_residual(h, traj) <= 1e-12
 
 
 @pytest.mark.parametrize("v", _two_operator_variables())
 def test_structured_integration_matches_its_callbacks(v):
-    # the fused kernel changes the midpoint trajectory by rounding only,
-    # and the fixed point takes the same sweeps
+    # a structured variable of several operators is integrated by sweeps
+    # over its own gradients: the same bits and sweeps as a black box
     batch = 0.5 * np.random.default_rng(13).standard_normal((5, 4))
-    fused = integrate(v, batch, 1.0, 0.02)
+    structured = integrate(v, batch, 1.0, 0.02)
     black_box = integrate(ClassicalVariable.from_callbacks(v.values, v.gradients, n=2), batch, 1.0, 0.02)
-    np.testing.assert_allclose(fused.states, black_box.states, rtol=0, atol=1e-13)
-    assert fused.sweeps.shape == (50,) and fused.sweeps.min() >= 1
-    np.testing.assert_array_equal(fused.sweeps, black_box.sweeps)
+    np.testing.assert_array_equal(structured.states, black_box.states)
+    assert structured.sweeps.shape == (50,) and structured.sweeps.min() >= 1
+    np.testing.assert_array_equal(structured.sweeps, black_box.sweeps)
     with pytest.raises(ValueError, match=r"2n = 4, got 6"):
         integrate(v, np.zeros((2, 6)), 1.0, 0.02)
+
+
+def _one_operator_hamiltonians():
+    rng = np.random.default_rng(16)
+    quadratic = random_j_commuting_hamiltonian(rng, 3)
+    return [quadratic, NonquadraticHamiltonian.polynomial(quadratic.operator, [0.5, -0.1, 0.04])]
+
+
+@pytest.mark.parametrize("h", _one_operator_hamiltonians(), ids=["quadratic", "polynomial"])
+def test_eigenbasis_solver_matches_the_sweeps(h):
+    # one operator: each step is a Cayley rotation in A's eigenbasis, with
+    # no sweeps; it is the fixed point the sweeps find, to their tolerance
+    batch = 0.2 * np.random.default_rng(17).standard_normal((9, 6))
+    closed = integrate(h, batch, 1.0, 0.02)
+    swept = integrate(_black_box(h), batch, 1.0, 0.02)
+    assert np.max(np.abs(closed.states - swept.states)) <= 1e-11 * np.max(np.abs(swept.states))
+    np.testing.assert_array_equal(closed.sweeps, np.zeros(50, dtype=int))
+    assert swept.sweeps.min() >= 1
+    assert np.max(np.abs(closed.norms - closed.norms[0]) / closed.norms[0]) <= 1e-14
+    with pytest.raises(ValueError, match=r"2n = 6, got 4"):
+        integrate(h, np.zeros((2, 4)), 1.0, 0.02)
+
+
+def test_stiff_kernel_step_is_the_cayley_transform():
+    # the grid kinetic kernel at N = 128, L = 20 has top eigenvalue ~82, so
+    # dt = 0.05 puts (dt/2) * 82 ~ 2 past the sweeps' contraction limit 1
+    grid = FieldGrid(128, 20.0 / 128)
+    kinetic = KernelOperator.mass(grid, 1.0)
+    assert np.max(kinetic.eigensystem[0]) > 80.0
+    h = QuadraticHamiltonian(complex_to_real(ComplexOperator(kinetic.matrix)))
+    dt, steps = 0.05, 8
+    psi = np.random.default_rng(18).standard_normal((3, 256))
+    jh = dt / 2 * j_matrix(128) @ h.operator.matrix
+    cayley = np.linalg.solve(np.eye(256) - jh, np.eye(256) + jh)
+    expected = psi.T
+    for _ in range(steps):
+        expected = cayley @ expected
+    got = integrate(h, psi, steps * dt, dt).states[-1]
+    assert np.max(np.abs(got - expected.T)) <= 1e-12 * np.max(np.abs(expected))
+    with pytest.raises(IntegrationError):
+        integrate(_black_box(h), psi, steps * dt, dt)
+
+
+def test_one_operator_midpoint_is_second_order_in_the_exact_flow():
+    # s = (A psi, psi) is conserved, so the exact flow of f(s) is the
+    # linear flow exp(2 f'(s0) t J A) psi: phases exp(-2i f'(s0) t w) in
+    # the eigenbasis (w, v) of A's complex image
+    rng = np.random.default_rng(19)
+    a = random_j_commuting_hamiltonian(rng, 3).operator
+    coefficients = [0.5, -0.2, 0.1]
+    h = NonquadraticHamiltonian.polynomial(a, coefficients)
+    psi = 0.6 * rng.standard_normal(6)
+    s0 = psi @ a.matrix @ psi
+    slope = sum(k * c * s0 ** (k - 1) for k, c in enumerate(coefficients, start=1))
+    w, v = np.linalg.eigh(real_to_complex(a).matrix)
+    t = 1.0
+    z = v @ (np.exp(-2j * slope * t * w) * (v.conj().T @ (psi[:3] + 1j * psi[3:])))
+    exact = np.concatenate([z.real, z.imag])
+    errors = [np.linalg.norm(integrate(h, psi, t, dt).states[-1] - exact) for dt in (0.04, 0.02, 0.01)]
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(3.8 <= r <= 4.2 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("form", ["structured", "black-box"])
+def test_change_of_units_leaves_the_flow_unchanged(form):
+    # H_c(x) = c^2 H(x / c) carries c psi to c times the flow of psi, so
+    # one relative tolerance must hold at every scale c
+    rng = np.random.default_rng(22)
+    a = random_j_commuting_hamiltonian(rng, 4).operator
+    coefficients = [0.5, 0.0, 0.125]
+    batch = 0.3 * rng.standard_normal((64, 8))
+    reference = None
+    for c in (1.0, 1e-8, 1e-4, 1e4):
+        h = ClassicalVariable.polynomial(a, [ck * c ** (2 - 2 * k) for k, ck in enumerate(coefficients, start=1)])
+        if form == "black-box":
+            h = _black_box(h)
+        traj = integrate(h, c * batch, 1.0, 0.01)
+        drift = np.max(np.abs(traj.norms - traj.norms[0]) / traj.norms[0])
+        assert drift <= 1e-10, (c, drift)
+        if reference is None:
+            reference = traj.states[-1]
+        error = np.max(np.abs(traj.states[-1] / c - reference)) / np.max(np.abs(reference))
+        assert error <= 1e-10, (c, error)
+
+
+def test_black_box_with_a_gradient_at_the_origin_leaves_zero_rows():
+    # H = (b, x) + |x|^2 / 2: zero rows move, so the sweeps' stopping
+    # scale must come from the iterate as well as from y; each step is the
+    # affine Cayley map (I - dt/2 J) x' = (I + dt/2 J) x + dt J b
+    b = np.array([0.3, -1.2, 0.5, 0.8])
+    h = ClassicalVariable.from_callbacks(lambda x: x @ b + 0.5 * np.sum(x * x, axis=-1), lambda x: x + b, n=2)
+    dt, steps = 0.05, 10
+    traj = integrate(h, np.zeros((3, 4)), steps * dt, dt)
+    j = j_matrix(2)
+    expected = np.zeros(4)
+    for _ in range(steps):
+        expected = np.linalg.solve(np.eye(4) - dt / 2 * j, (np.eye(4) + dt / 2 * j) @ expected + dt * j @ b)
+    assert np.max(np.abs(traj.states[-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_multi_axis_batch_matches_flat_rows():

@@ -1,14 +1,17 @@
 """Experiment registry, configuration validation, reports, and CLI."""
 
 import json
+import math
 
 import pytest
 
+from pcsft import gaussian
 from pcsft.cli import main
 from pcsft.experiments import (
     REGISTRY,
     ConfigError,
     MetricRow,
+    _relative_defect,
     list_experiments,
     load_config,
     run_experiment,
@@ -143,6 +146,44 @@ def test_every_experiment_passes(config):
     record = run_experiment(dict(config), write_reports=False)
     failed = [m.name for m in record.metrics if not m.passed]
     assert record.passed, f"failed metrics: {failed}"
+
+
+@pytest.mark.parametrize("seed", [17, 23, 26, 39])
+def test_norm_audit_integrates_its_polynomial_flow(seed):
+    # at these seeds the fixed-point sweeps of step 0 did not contract
+    # and raised IntegrationError
+    record = run_experiment({"experiment": "norm-audit", "seed": seed}, write_reports=False)
+    assert record.passed, [m.name for m in record.metrics if not m.passed]
+
+
+@pytest.mark.parametrize(
+    "config, row",
+    [
+        ({"experiment": "dispersion-preservation", "params": {"count": 2000}}, "trace_identity_relative_defect"),
+        ({"experiment": "field-correspondence", "params": {"n_points": 16, "count": 2000}}, "trace_formula_relative_defect"),
+    ],
+    ids=["dispersion-preservation", "field-correspondence"],
+)
+def test_trace_rows_are_relative_at_every_dispersion(monkeypatch, config, row):
+    # an exact average off by a relative 1e-9 breaks the 1e-12 trace row
+    # at every dispersion alpha, not only at alpha >= 1
+    original = gaussian.quadratic_average
+    monkeypatch.setattr(gaussian, "quadratic_average", lambda *args: original(*args) * (1.0 + 1e-9))
+    for alpha in (2.0, 0.05, 1e-8):
+        params = dict(config["params"], alpha=alpha)
+        record = run_experiment(dict(config, seed=5, params=params), write_reports=False)
+        (metric,) = [m for m in record.metrics if m.name == row]
+        assert not metric.passed
+        assert metric.value == pytest.approx(1e-9, rel=1e-4)
+
+
+def test_relative_defect_is_scale_free():
+    # scaling by a power of two is exact, so the defect keeps its bits
+    for value, reference in [(1.0 + 3e-13, 1.0), (-2.5, -2.5 + 1e-12), (0.3, 0.0), (0.0, 0.0)]:
+        expected = _relative_defect(value, reference)
+        for scale in (2.0**-60, 2.0**-20, 2.0**30):
+            assert _relative_defect(scale * value, scale * reference) == expected
+    assert _relative_defect(0.3, 0.0) == math.inf and _relative_defect(0.0, 0.0) == 0.0
 
 
 class TestReports:
