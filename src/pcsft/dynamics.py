@@ -158,24 +158,23 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
       * "spectral": via the complex eigendecomposition of the image M of
         H; requires a J-commuting kernel. U_t is the real form of
         exp(-iMt).
-      * "expm": Pade approximation of the real matrix exponential of
-        J H t by ``scipy.linalg.expm``, loaded on the first such call;
-        works for any symmetric kernel.
+      * "expm": the real matrix exponential of J H t by scaling and
+        squaring with the [13/13] Pade approximant (Higham, "The scaling
+        and squaring method for the matrix exponential revisited", SIAM
+        J. Matrix Anal. Appl. 26, 2005); works for any symmetric kernel.
       * "auto": spectral when the kernel commutes with J, else expm.
 
     The two explicit methods are genuinely independent code paths, which
-    the equivalence checks exploit.
+    the equivalence checks exploit: "expm" calls no eigensolver.
     """
     if method not in ("auto", "spectral", "expm"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
         method = "spectral" if h.j_invariant else "expm"
     if method == "expm":
-        import scipy.linalg
-
         jh = np.empty_like(h.operator.matrix)
         _j_flat(h.operator.matrix.T, out=jh.T)  # J acting on each column of H
-        return BlockOperator(scipy.linalg.expm(jh * t))
+        return BlockOperator(_expm(jh * t))
     if not h.j_invariant:
         raise ValueError(
             f"spectral flow needs a J-commuting kernel "
@@ -183,6 +182,55 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
         )
     u_c = _spectral_unitary(*h._complex_eigensystem, t)
     return BlockOperator.from_pair(u_c.real, -u_c.imag)
+
+
+# Higham (2005), Table 2.3 and eq. (2.1): the [13/13] Pade approximant
+# p(A)/p(-A) of exp(A) is accurate to double precision for ||A||_1 <= THETA_13.
+# The coefficients are divided by the constant term b_0, so that p(0) = I
+# and the solve below returns I exactly for A = 0.
+_THETA_13 = 5.371920351148152
+_PADE_13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix: scale a by 2^-s so that its 1-norm
+    is at most THETA_13, take the [13/13] Pade approximant, and square
+    the result s times.
+
+    Each squaring doubles the approximant's relative error, so past
+    s = 52 no digit is left: a larger, infinite or NaN norm raises
+    ValueError.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not norm <= _THETA_13 * 2.0**52:
+        raise ValueError(
+            f"matrix exponential needs a 1-norm of at most {_THETA_13 * 2.0**52:.3e}, "
+            f"got {norm:.3e}"
+        )
+    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > 0.0 else 0
+    a = a * 2.0**-s
+    b = _PADE_13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    ident = np.eye(len(a))
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:

@@ -80,23 +80,41 @@ def test_spectral_and_expm_flows_agree(n):
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10
 
 
-def test_expm_flow_looks_up_scipy_expm_at_call_time(monkeypatch):
-    # perfbench's tracer counts dynamics.expm_calls by patching this attribute
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_expm_flow_matches_scipy_expm(n):
     import scipy.linalg
 
-    calls = []
-    original = scipy.linalg.expm
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
-    h = random_symmetric_hamiltonian(np.random.default_rng(3), 2)
-    u = linear_flow(h, 0.7, method="expm")
-    assert calls == [(4, 4)]
-    jh = j_matrix(2) @ h.operator.matrix
-    assert np.array_equal(u.matrix, original(jh * 0.7))
+    rng = np.random.default_rng(40 + n)
+    j = j_matrix(n)
+    small = (1e-8, 1e-4, 1e-2, 1.0, 10.0)
+    # the generic kernel's flow can grow like exp(||JHt||), so it stops early
+    kernels = [
+        (random_j_commuting_hamiltonian(rng, n), small + (100.0, 1e3)),
+        (random_symmetric_hamiltonian(rng, n), small),
+    ]
+    for h, sizes in kernels:
+        jh = j @ h.operator.matrix
+        for size in sizes:
+            t = size / np.abs(jh).sum(axis=0).max()
+            u = linear_flow(h, t, method="expm").matrix
+            expected = scipy.linalg.expm(jh * t)
+            # each of the ~log2(size / 5.37) squarings doubles the Pade step's error
+            rtol = 1e-13 * max(1.0, size / 5.37)
+            scale = np.abs(expected).max()
+            assert np.abs(u - expected).max() <= rtol * scale, (h.j_invariant, size)
+            assert np.abs(u.T @ j @ u - j).max() <= rtol * scale**2, (h.j_invariant, size)
+    # nilpotent JH: the flow is exactly I + JHt, also after squarings
+    h = QuadraticHamiltonian(BlockOperator(np.diag([1.0] + [0.0] * (2 * n - 1))))
+    jh = j @ h.operator.matrix
+    for t in (1e-3, 0.5, 40.0):
+        u = linear_flow(h, t, method="expm").matrix
+        assert np.array_equal(u, np.eye(2 * n) + jh * t)
+        np.testing.assert_allclose(u.T @ j @ u, j, rtol=0, atol=1e-15 * t * t)
+    # n = 1, H = I: the flow is the clockwise rotation by t at every size
+    for t in (3.0, 50.0, 987.654321):
+        u = linear_flow(QuadraticHamiltonian(BlockOperator(np.eye(2))), t, method="expm")
+        rotation = [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]
+        np.testing.assert_allclose(u.matrix, rotation, rtol=0, atol=1e-13)
 
 
 def test_flow_is_symplectic_and_group():
@@ -153,6 +171,28 @@ def test_schrodinger_flow_matches_real_flow():
         )
     with pytest.raises(ValueError):
         schrodinger_flow(ComplexOperator(np.array([[1j]])), 0.1)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, 1e300])
+def test_flows_at_unrepresentable_times_raise_value_error(t):
+    rng = np.random.default_rng(8)
+    generic = random_symmetric_hamiltonian(rng, 2)
+    commuting = random_j_commuting_hamiltonian(rng, 2)
+    identity = QuadraticHamiltonian(BlockOperator(np.eye(4)))
+    cases = [(generic, "expm"), (generic, "auto"), (commuting, "expm"), (identity, "expm")]
+    if not np.isfinite(t):
+        # at t = 1e300 the spectral phases exp(-i w t) stay finite
+        cases += [(commuting, "spectral"), (commuting, "auto")]
+    for h, method in cases:
+        with pytest.raises(ValueError), np.errstate(invalid="ignore", over="ignore"):
+            linear_flow(h, t, method)
+
+
+def test_zero_hamiltonian_flow_is_exactly_the_identity():
+    h = QuadraticHamiltonian(BlockOperator(np.zeros((4, 4))))
+    for t in (0.0, 0.7, -3.0, 1e300):
+        for method in ("expm", "spectral", "auto"):
+            assert np.array_equal(linear_flow(h, t, method).matrix, np.eye(4))
 
 
 def test_flow_method_validation():
