@@ -257,11 +257,7 @@ class CorrespondenceReport:
     errors: tuple
     error_stderrs: tuple
     slope: float
-    intercept: float
     fit_points: int
-    sample_count: int
-    seed: int
-    conventions: dict
 
     def to_csv(self, path) -> None:
         write_csv(
@@ -344,10 +340,9 @@ def alpha_scan(
     if len(significant) >= 2:
         xs = np.log(np.array([alphas[k] for k in significant]))
         ys = np.log(np.array([abs(errors[k]) for k in significant]))
-        slope, intercept = np.polyfit(xs, ys, 1)
-        slope, intercept = float(slope), float(intercept)
+        slope = float(np.polyfit(xs, ys, 1)[0])
     else:
-        slope, intercept = float("nan"), float("nan")
+        slope = float("nan")
 
     return CorrespondenceReport(
         alphas=alphas,
@@ -357,9 +352,5 @@ def alpha_scan(
         errors=tuple(errors),
         error_stderrs=tuple(error_stderrs),
         slope=slope,
-        intercept=intercept,
         fit_points=len(significant),
-        sample_count=int(count),
-        seed=int(seed),
-        conventions=dict(_CONVENTIONS),
     )

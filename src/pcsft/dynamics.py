@@ -13,7 +13,7 @@ J-commuting operator A that conservation makes every step the same
 Cayley rotation in A's eigenbasis, found once per row by a scalar Newton
 iteration. Any other Hamiltonian is evaluated through its ``gradients``
 callback, by fixed-point sweeps that start from an extrapolation of the
-previous states. Rows are integrated in cache-sized blocks.
+previous states. Either solver takes all rows of a batch at once.
 
 Every Hamiltonian is a :class:`pcsft.variables.ClassicalVariable`, so
 ``values`` / ``gradients`` act on (..., 2n) batches of flattened phase
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -62,9 +62,11 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Implicit midpoint fixed point failed to converge.
+    """An implicit midpoint step failed to converge: the fixed-point
+    sweeps, or the closed-form solver's Newton iteration (reported at
+    step 0).
 
-    ``rows`` lists the global indices of the batch rows that failed.
+    ``rows`` lists the indices of the flattened batch rows that failed.
     """
 
     def __init__(self, step: int, residual: float, rows: list):
@@ -254,10 +256,10 @@ def _spectral_unitary(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integration record: states has shape (steps+1, 2n) for a single
-    initial point, or (steps+1, m, 2n) for a batch. ``sweeps`` holds the
-    fixed-point sweeps of each step as filled by :func:`integrate`: the
-    most any block of rows took, and 0 for a Hamiltonian of one operator,
-    whose steps are solved in closed form."""
+    initial point, or (steps+1, m, 2n) for a batch. ``sweeps[k]`` is the
+    number of fixed-point sweeps step k took, as filled by
+    :func:`integrate`, and 0 for a Hamiltonian of one operator, whose
+    steps are solved in closed form."""
 
     times: np.ndarray
     states: np.ndarray
@@ -298,10 +300,8 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
 
     The step count is round(|t_final| / dt), so the effective step is
     t_final / steps and the trajectory lands exactly on t_final. Each
-    step solves x = y + dt * J grad H((y + x)/2). Rows (leading batch
-    axes flattened) are integrated in blocks of TILE rows, each through
-    every step on its own, so a block's buffers stay in cache and a
-    row's trajectory does not depend on the rows of other blocks.
+    step solves x = y + dt * J grad H((y + x)/2) for all rows (leading
+    batch axes flattened) at once.
 
     A structured Hamiltonian of one operator, H = f((A psi, psi)) (a
     QuadraticHamiltonian with a J-commuting kernel, or a polynomial such
@@ -313,20 +313,19 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     Any other ``h`` is solved by fixed-point sweeps over its
     ``gradients`` callback, to which ``pcsft.symplectic._j_flat`` applies
     J, until the largest change is within ``SWEEP_TOL`` times the larger
-    of max|y| and max|x| over the block. Step 0 starts from the Euler
+    of max|y| and max|x| over the batch. Step 0 starts from the Euler
     guess y + dt * J grad H(y). Every later step starts from the
     polynomial through the last q + 1 states at the next time,
     q = min(k, PREDICTOR_ORDER) (Hairer, Lubich & Wanner, *Geometric
     Numerical Integration*, VIII.6.1), which is accurate to O(dt^(q+1))
     and costs no field evaluation. If the sweeps from that start fail
     (``MAX_SWEEPS`` sweeps, or a non-finite row), the step is redone from
-    the Euler guess. ``Trajectory.sweeps[k]`` is the largest number of
-    sweeps any block took at step k, counting both starts when a step
-    was redone.
+    the Euler guess. ``Trajectory.sweeps[k]`` is the number of sweeps
+    step k took, counting both starts when it was redone.
 
-    Either solver raises :class:`IntegrationError` naming the global
-    indices of the rows that failed. A ClassicalVariable rejects a batch
-    whose last axis is not 2n.
+    Either solver raises :class:`IntegrationError` at the earliest step
+    that fails, naming the rows that failed there. A ClassicalVariable
+    rejects a batch whose last axis is not 2n.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -352,13 +351,7 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     if isinstance(h, ClassicalVariable) and h.is_structured and len(h._operators) == 1:
         _eigenbasis_solve(h, step_dt, states)
     else:
-        field = partial(_callback_field, h, step_dt)
-        for first in range(0, len(rows), TILE):
-            history = states[:, first : first + TILE]
-            work = tuple(np.empty(history.shape[1:]) for _ in range(4))
-            for k in range(steps):
-                taken = _midpoint_step(field, history, k, work, first)
-                sweeps[k] = max(sweeps[k], taken)
+        _sweep_steps(h, step_dt, states, sweeps)
 
     states = states.reshape((steps + 1,) + y.shape)
     times = np.arange(steps + 1) * step_dt
@@ -371,10 +364,9 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     return Trajectory(times, states, energies, norms, abs(step_dt), sweeps)
 
 
-# The predictor's largest degree (chosen by measurement among 4-7 on the
-# flow-batch benchmark), and the rows integrated together in one block.
+# The predictor's largest degree, chosen by measurement among 4-7 on
+# 10^4-row batches.
 PREDICTOR_ORDER = 6
-TILE = 1024
 # A step's sweeps stop once the largest change is within SWEEP_TOL times
 # the larger of max|y| and max|x|, and fail after MAX_SWEEPS sweeps. The
 # eigenbasis solver's Newton iteration stops once the largest rotation
@@ -382,7 +374,7 @@ TILE = 1024
 # iterations.
 SWEEP_TOL = 1e-12
 MAX_SWEEPS = 50
-# weights of history[k-q..k], oldest first, in the degree-q extrapolant
+# weights of states[k-q..k], oldest first, in the degree-q extrapolant
 _PREDICTOR_WEIGHTS = tuple(
     np.array([(-1) ** j * math.comb(q + 1, j + 1) for j in range(q, -1, -1)], dtype=float)
     for q in range(PREDICTOR_ORDER + 1)
@@ -414,19 +406,17 @@ def _eigenbasis_solve(h, dt, states) -> None:
     coeffs = {}  # {power: coefficient}
     for _, c, k in h._grouping:
         coeffs[k] = coeffs.get(k, 0.0) + c
-    for first in range(0, states.shape[1], TILE):
-        history = states[:, first : first + TILE]
-        z = np.empty((history.shape[1], n), dtype=complex)
-        with np.errstate(all="ignore"):  # a non-finite row is reported, not warned about
-            np.matmul(history[0], basis.T, out=z.view(float))
-            half = 0.5 * _newton_slopes(coeffs, dt, lam, np.abs(z) ** 2, first)[:, None] * lam
-        phases = (1.0 - 1j * half) / (1.0 + 1j * half)
-        for k in range(1, len(history)):
-            z *= phases
-            np.matmul(z.view(float), basis, out=history[k])
+    z = np.empty((states.shape[1], n), dtype=complex)
+    with np.errstate(all="ignore"):  # a non-finite row is reported, not warned about
+        np.matmul(states[0], basis.T, out=z.view(float))
+        half = 0.5 * _newton_slopes(coeffs, dt, lam, np.abs(z) ** 2)[:, None] * lam
+    phases = (1.0 - 1j * half) / (1.0 + 1j * half)
+    for k in range(1, len(states)):
+        z *= phases
+        np.matmul(z.view(float), basis, out=states[k])
 
 
-def _newton_slopes(coeffs, dt, lam, weights, first_row) -> np.ndarray:
+def _newton_slopes(coeffs, dt, lam, weights) -> np.ndarray:
     """Per row, the root c of g(c) = c - 2 dt f'(s(c)) with
     s(c) = sum_j lam_j w_j / (1 + c^2 lam_j^2 / 4), by Newton's method from
     the explicit value 2 dt f'(s(0)), g'(c) = 1 - 2 dt f''(s) s'(c).
@@ -435,8 +425,7 @@ def _newton_slopes(coeffs, dt, lam, weights, first_row) -> np.ndarray:
     the w_j = |z_hat_j|^2 of each row. A row stops once its step changes
     the largest angle c max|lam| by at most SWEEP_TOL; rows that do not
     within MAX_SWEEPS iterations, or turn non-finite, raise
-    IntegrationError at step 0 under their global indices
-    (``first_row`` is the block's first).
+    IntegrationError at step 0.
     """
     top = max(coeffs)
     # 2 dt f'(s) and 2 dt f''(s), highest power first, for Horner's rule
@@ -462,71 +451,50 @@ def _newton_slopes(coeffs, dt, lam, weights, first_row) -> np.ndarray:
     failed = active | ~np.isfinite(c)
     if failed.any():
         residual = float(np.max(change[failed]))
-        raise IntegrationError(0, residual, (first_row + np.flatnonzero(failed)).tolist())
+        raise IntegrationError(0, residual, np.flatnonzero(failed).tolist())
     return c
 
 
-def _midpoint_step(field, history, k, work, first_row) -> int:
-    """Solve x = y + field((y + x)/2) for y = history[k] into history[k+1];
-    returns the sweeps it took, both starts counted. ``first_row`` is the
-    global index of the block's first row, for the error."""
-    y = history[k]
-    x, change = work[0], work[3]
-    y_scale = float(np.abs(y, out=change).max())
-    taken = 0
-    with np.errstate(all="ignore"):  # divergence is reported, not warned about
-        if k > 0:
-            _extrapolate(history, k, x)
-            spent, converged, residual, limit = _sweep(field, y, y_scale, history[k + 1], work)
-            taken += spent
-            if converged:
-                return taken
-        field(y, x)  # Euler guess
-        x += y
-        spent, converged, residual, limit = _sweep(field, y, y_scale, history[k + 1], work)
-        taken += spent
-        if converged:
-            return taken
-    # a row that blew up stops the sweeps, and then it alone is named
-    row_residuals = change.max(axis=-1)
-    failed = row_residuals > limit if math.isfinite(residual) else ~np.isfinite(row_residuals)
-    raise IntegrationError(k, residual, (first_row + np.flatnonzero(failed)).tolist())
+def _sweep_steps(h, dt, states, sweeps) -> None:
+    """Fill states[1:] with the midpoint steps of ``h`` from the rows of
+    states[0], by fixed-point sweeps x <- y + dt J grad H((y + x)/2) over
+    its ``gradients`` callback, and sweeps[k] with the sweeps step k took,
+    both starts counted. A start's sweeps stop once the largest change is
+    within SWEEP_TOL times the larger of max|y| and max|x|, and fail after
+    MAX_SWEEPS sweeps or at a non-finite change."""
 
+    def field(pts):  # dt * J grad H(pts)
+        return _j_flat(np.asarray(h.gradients(pts))) * dt
 
-def _extrapolate(history, k, out) -> None:
-    """out = the polynomial through history[k-q..k] at step k+1, with
-    q = min(k, PREDICTOR_ORDER): sum_j (-1)^j C(q+1, j+1) history[k-j]."""
-    weights = _PREDICTOR_WEIGHTS[min(k, PREDICTOR_ORDER)]
-    np.einsum("j,j...->...", weights, history[k + 1 - len(weights) : k + 1], out=out)
-
-
-def _sweep(field, y, y_scale, out, work):
-    """Iterate x <- y + field((y + x)/2) from the start in work[0] until
-    the largest change is within SWEEP_TOL times the larger of ``y_scale``
-    (max|y|) and the iterate's max|x|, then write x to ``out``. Returns
-    (sweeps, converged, last residual, its limit); on failure work[3]
-    holds |change|."""
-    x, x_next, mid, change = work
-    for sweep in range(1, MAX_SWEEPS + 1):
-        np.add(y, x, out=mid)
-        np.divide(mid, 2.0, out=mid)
-        field(mid, x_next)
-        x_next += y
-        limit = SWEEP_TOL * max(y_scale, float(np.abs(x_next, out=mid).max()))
-        residual = float(np.abs(np.subtract(x_next, x, out=change), out=change).max())
-        x, x_next = x_next, x
-        if not math.isfinite(residual):
-            break
-        if residual <= limit:
-            np.copyto(out, x)
-            return sweep, True, residual, limit
-    return sweep, False, residual, limit
-
-
-def _callback_field(h, dt, pts, out):
-    """out = dt * J grad H(pts) from the ``gradients`` callback."""
-    _j_flat(np.asarray(h.gradients(pts)), out=out)
-    out *= dt
+    for k in range(len(sweeps)):
+        y = states[k]
+        y_scale = float(np.abs(y).max())
+        q = min(k, PREDICTOR_ORDER)
+        with np.errstate(all="ignore"):  # divergence is reported, not warned about
+            # the extrapolant of the last q + 1 states, then the Euler guess
+            for euler in (True,) if k == 0 else (False, True):
+                if euler:
+                    x = y + field(y)
+                else:
+                    x = np.einsum("j,j...->...", _PREDICTOR_WEIGHTS[q], states[k - q : k + 1])
+                for _ in range(MAX_SWEEPS):
+                    sweeps[k] += 1
+                    x, x_prev = y + field((y + x) / 2.0), x
+                    limit = SWEEP_TOL * max(y_scale, float(np.abs(x).max()))
+                    change = np.abs(x - x_prev)
+                    residual = float(change.max())
+                    # an overflowed iterate has limit = inf, so finiteness comes first
+                    converged = math.isfinite(residual) and residual <= limit
+                    if converged or not math.isfinite(residual):
+                        break
+                if converged:
+                    states[k + 1] = x
+                    break
+            else:
+                # a row that blew up stops the sweeps, and then it alone is named
+                row_residuals = change.max(axis=-1)
+                failed = row_residuals > limit if math.isfinite(residual) else ~np.isfinite(row_residuals)
+                raise IntegrationError(k, residual, np.flatnonzero(failed).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -427,7 +427,6 @@ def test_alpha_scan_determinism_and_serialisation(tmp_path):
     r1 = alpha_scan(f, shape, alphas=(0.1, 0.01), seed=13, count=5_000)
     r2 = alpha_scan(f, shape, alphas=(0.1, 0.01), seed=13, count=5_000)
     assert r1 == r2
-    assert r1.conventions
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     r1.to_csv(p1)
     r2.to_csv(p2)

@@ -16,7 +16,6 @@ import pytest
 
 from pcsft import dynamics
 from pcsft.dynamics import (
-    TILE,
     IntegrationError,
     NonquadraticHamiltonian,
     QuadraticHamiltonian,
@@ -405,7 +404,7 @@ def _polynomial_hamiltonian():
     return NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125])
 
 
-def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
+def test_failed_extrapolated_start_is_redone_from_euler():
     h = _black_box(_polynomial_hamiltonian())
     batch = 0.5 * np.random.default_rng(19).standard_normal((5, 4))
     dt, steps = 0.05, 20
@@ -419,19 +418,26 @@ def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
     traj = integrate(h, batch, steps * dt, dt)
     assert traj.dt == dt and not np.array_equal(traj.states, euler_states)
 
-    # a predictor with a non-finite row: every later step is redone from
-    # the Euler guess, bit for bit, and the wasted sweep is counted
-    extrapolate = dynamics._extrapolate
+    # a field that turns row 3 non-finite on the first sweep from the
+    # extrapolated start: every later step is redone from the Euler guess,
+    # bit for bit, and the wasted sweep is counted. Step 0 makes the Euler
+    # guess and its sweeps; each later step k one poisoned sweep, the Euler
+    # guess and euler_sweeps[k] sweeps.
+    poisoned = 1 + euler_sweeps[0] + np.cumsum(np.r_[0, 2 + euler_sweeps[1:-1]])
+    n_calls = 0
 
-    def nan_row(history, k, out):
-        extrapolate(history, k, out)
-        out[3] = np.nan
+    def poisoned_gradient(pts):
+        nonlocal n_calls
+        g = np.array(h.gradients(pts))
+        if n_calls in poisoned:
+            g[3] = np.nan
+        n_calls += 1
+        return g
 
-    monkeypatch.setattr(dynamics, "_extrapolate", nan_row)
-    redone = integrate(h, batch, steps * dt, dt)
+    redone = integrate(NonquadraticHamiltonian(h.values, poisoned_gradient, 2), batch, steps * dt, dt)
     np.testing.assert_array_equal(redone.states, euler_states)
     np.testing.assert_array_equal(redone.sweeps, euler_sweeps + (np.arange(steps) > 0))
-    monkeypatch.undo()
+    assert n_calls == redone.sweeps.sum() + steps
 
     # a field that turns non-finite after step 0 fails both starts, and
     # only then raises: one sweep from the extrapolated start, then the
@@ -450,30 +456,22 @@ def test_failed_extrapolated_start_is_redone_from_euler(monkeypatch):
     np.testing.assert_allclose(calls[step0 + 1], euler_states[1], rtol=0, atol=1e-15)
 
 
-def test_row_blocks_integrate_alone():
-    # each block of TILE rows runs through every step on its own, so a
-    # batch equals its blocks integrated alone, bit for bit, on both solvers
-    poly = _polynomial_hamiltonian()
-    batch = 0.3 * np.random.default_rng(20).standard_normal((2 * TILE + 37, 4))
-    for h in (poly, _black_box(poly)):
-        whole = integrate(h, batch, 0.2, 0.02)
-        blocks = [integrate(h, batch[i : i + TILE], 0.2, 0.02) for i in range(0, len(batch), TILE)]
-        assert len(blocks) == 3
-        np.testing.assert_array_equal(whole.states, np.concatenate([b.states for b in blocks], axis=1))
-        np.testing.assert_array_equal(whole.sweeps, np.max([b.sweeps for b in blocks], axis=0))
-    # a row diverging in the third block is named by its global index, and
-    # so is a non-finite one under the closed-form solver
-    rows = 0.1 * np.random.default_rng(21).standard_normal((2 * TILE + 37, 2))
-    rows[2 * TILE + 5] = [10.0, 0.0]
+def test_failing_rows_of_a_large_batch_are_named():
+    # a row diverging past the first 2048 rows of a batch is named by its
+    # index on both sweeping forms, and so is a non-finite one under the
+    # closed-form solver
+    bad = 2 * 1024 + 5
+    rows = 0.1 * np.random.default_rng(21).standard_normal((2085, 2))
+    rows[bad] = [10.0, 0.0]
     quartic, sweeping = _quartic_pair()
     for h in sweeping:
-        with pytest.raises(IntegrationError, match=rf"rows \[{2 * TILE + 5}\]") as err:
+        with pytest.raises(IntegrationError, match=rf"rows \[{bad}\]") as err:
             integrate(h, rows, 0.1, 0.1)
-        assert err.value.rows == [2 * TILE + 5] and err.value.step == 0
-    rows[2 * TILE + 5] = [np.nan, 0.0]
+        assert err.value.rows == [bad] and err.value.step == 0
+    rows[bad] = [np.nan, 0.0]
     with pytest.raises(IntegrationError) as err:
         integrate(quartic, rows, 0.1, 0.1)
-    assert err.value.rows == [2 * TILE + 5] and err.value.step == 0
+    assert err.value.rows == [bad] and err.value.step == 0
 
 
 def _two_operator_variables():
