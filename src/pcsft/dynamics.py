@@ -356,7 +356,8 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     states = states.reshape((steps + 1,) + y.shape)
     times = np.arange(steps + 1) * step_dt
     energies = h.values(states)
-    norms = np.sqrt(np.einsum("...i,...i->...", states, states))
+    norms = np.einsum("...i,...i->...", states, states)
+    np.sqrt(norms, out=norms)
     if squeeze:
         states = states[:, 0, :]
         energies = energies[:, 0]
@@ -433,13 +434,14 @@ def _newton_slopes(coeffs, dt, lam, weights) -> np.ndarray:
     curvature = [2.0 * dt * k * (k - 1) * coeffs.get(k, 0.0) for k in range(top, 1, -1)]
     lam_w = weights * lam
     quarter = (0.5 * lam) ** 2
+    lam_w_quarter = lam_w * quarter
     scale = float(np.max(np.abs(lam)))
     c = np.polyval(slope, lam_w.sum(axis=1))
     active = np.ones(len(c), dtype=bool)
     for _ in range(MAX_SWEEPS):
         damp = 1.0 / (1.0 + c[:, None] ** 2 * quarter)
         s = np.sum(lam_w * damp, axis=1)
-        ds = -2.0 * c * np.sum(lam_w * quarter * damp**2, axis=1)
+        ds = -2.0 * c * np.sum(lam_w_quarter * damp**2, axis=1)
         step = (c - np.polyval(slope, s)) / (1.0 - np.polyval(curvature, s) * ds)
         step[~active] = 0.0
         c -= step

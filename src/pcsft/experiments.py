@@ -331,16 +331,21 @@ def _run_purestate_sampling(params, seed, out_dir):
 
     sub = _sub_seed(rng)
     pts = gaussian.sample(rho, sub, count)
+    mean_z = float(np.max(np.abs(pts.mean(axis=0)))) / np.sqrt(alpha / count)
+
+    # each check holds at most one more array of the sample's size
     u, v = psi.real, psi.imag
     basis = np.stack([np.concatenate([u, v]), np.concatenate([-v, u])])
-    residual = pts - (pts @ basis.T) @ basis
-    plane_defect = float(np.max(np.abs(residual)))
+    residual = (pts @ basis.T) @ basis
+    np.subtract(pts, residual, out=residual)
+    plane_defect = float(np.max(np.abs(residual, out=residual)))
+    del residual
 
-    z = pts[:, :n] + 1j * pts[:, n:]
+    z = np.empty((count, n), dtype=complex)
+    z.real, z.imag = pts[:, :n], pts[:, n:]
+    del pts
     empirical = z.T @ z.conj() / count
     emp_defect = float(np.max(np.abs(empirical - alpha * np.outer(psi, psi.conj()))))
-
-    mean_z = float(np.max(np.abs(pts.mean(axis=0)))) / np.sqrt(alpha / count)
 
     whole = gaussian.sample(rho, sub, 64)
     split = np.vstack(

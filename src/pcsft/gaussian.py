@@ -365,26 +365,25 @@ def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarra
     return z
 
 
-def _shape(z: np.ndarray, factor: np.ndarray, start: int) -> np.ndarray:
-    """Sample rows z F for the support normals of rows start..start+len(z)-1.
+def _shape(z: np.ndarray, factor: np.ndarray, start: int, out=None) -> np.ndarray:
+    """Sample rows z F for the support normals of rows start..start+len(z)-1,
+    which lie in one ROW_BLOCK-row block, written to ``out`` when given.
 
     Every row goes through one BLAS matmul of a fixed shape at a fixed
     position: the ROW_BLOCK-row block that starts at a multiple of
-    ROW_BLOCK in the global row index. Rows of a block outside the
-    request are zeros.
+    ROW_BLOCK in the global row index. Rows of the block outside the
+    request are zeros. Beyond ``out``, a partial block holds one padded
+    block and its product.
     """
-    count = z.shape[0]
-    out = np.empty((count, factor.shape[1]))
-    stop = start + count
-    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
-        a, b = max(start, first), min(stop, first + ROW_BLOCK)
-        rows = slice(a - start, b - start)
-        if b - a == ROW_BLOCK:
-            np.matmul(z[rows], factor, out=out[rows])
-        else:
-            block = np.zeros((ROW_BLOCK, z.shape[1]))
-            block[a - first : b - first] = z[rows]
-            out[rows] = (block @ factor)[a - first : b - first]
+    if out is None:
+        out = np.empty((z.shape[0], factor.shape[1]))
+    if z.shape[0] == ROW_BLOCK:
+        np.matmul(z, factor, out=out)
+    else:
+        a = start % ROW_BLOCK
+        block = np.zeros((ROW_BLOCK, z.shape[1]))
+        block[a : a + z.shape[0]] = z
+        out[...] = (block @ factor)[a : a + z.shape[0]]
     return out
 
 
@@ -413,12 +412,20 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     one BLAS matmul of a fixed shape at a fixed position: the
     ROW_BLOCK-row block that starts at a multiple of ROW_BLOCK in the
     global row index. Rows of a block outside the request are zeros and
-    cost no ``ndtri``. The first call loads ``scipy.special``, where
-    ``ndtri`` comes from.
+    cost no ``ndtri``. The request is drawn and shaped one block at a
+    time straight into the output, so beyond the (count, 2n) output it
+    holds one block's uniforms, normals and product at a time. The first
+    call loads ``scipy.special``, where ``ndtri`` comes from.
     """
     if count < 0 or start < 0:
         raise ValueError("count and start must be nonnegative")
     if count == 0:
         return np.zeros((count, 2 * rho.n))
     seed, count, start = int(seed), int(count), int(start)
-    return _shape(_normals(rho, seed, count, start), _support_factor(rho), start)
+    factor = _support_factor(rho)
+    out = np.empty((count, 2 * rho.n))
+    stop = start + count
+    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
+        a, b = max(start, first), min(stop, first + ROW_BLOCK)
+        _shape(_normals(rho, seed, b - a, a), factor, a, out=out[a - start : b - start])
+    return out

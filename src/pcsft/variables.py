@@ -279,7 +279,9 @@ class ClassicalVariable:
         the terms, in term order."""
         out = np.zeros(forms[0].shape)
         for i, c, k in self._grouping:
-            out += c * forms[i] ** k
+            term = forms[i] ** k  # a new array: shared forms are never written to
+            term *= c
+            out += term
         return out
 
     def _images(self, pts):

@@ -399,6 +399,22 @@ def test_integration_error_names_the_failing_rows(monkeypatch):
         integrate(quartic, np.array([[0.1, 0.0], [0.0, 0.2], [np.inf, 0.0]]), 0.1, 0.1)
 
 
+def test_overflowed_iterate_is_named_not_stored():
+    # H = (q^4 + p^4) / 4 from callbacks: row 1's first sweep overflows its
+    # iterate to inf, so the sweep limit, relative to max|x|, is inf too
+    def values(pts):
+        return np.sum(pts**4, axis=-1) / 4.0
+
+    def gradients(pts):
+        return pts**3
+
+    h = NonquadraticHamiltonian(values, gradients, 1)
+    batch = np.array([[0.1, 0.0], [1e100, 0.0]])
+    with pytest.raises(IntegrationError, match=r"rows \[1\]") as err:
+        integrate(h, batch, 0.1, 0.1)
+    assert err.value.rows == [1] and err.value.step == 0
+
+
 def _polynomial_hamiltonian():
     op = BlockOperator.from_pair([[2.0, 0.3], [0.3, 1.0]], [[0.0, -0.4], [0.4, 0.0]])
     return NonquadraticHamiltonian.polynomial(op, [0.5, 0.0, 0.125])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from pcsft.experiments import (
     ConfigError,
     MetricRow,
     _relative_defect,
+    _run_purestate_sampling,
     list_experiments,
     load_config,
     run_experiment,
@@ -175,6 +177,21 @@ def test_trace_rows_are_relative_at_every_dispersion(monkeypatch, config, row):
         (metric,) = [m for m in record.metrics if m.name == row]
         assert not metric.passed
         assert metric.value == pytest.approx(1e-9, rel=1e-4)
+
+
+def test_purestate_sampling_holds_little_beyond_its_samples():
+    # each check may hold one array of the sample's size beside it
+    params = dict(REGISTRY["purestate-sampling"].defaults, count=50_000)
+    sample_bytes = params["count"] * 2 * params["dimension"] * 8
+    gaussian.ndtri(0.5)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        rows = _run_purestate_sampling(params, 3, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.passed for row in rows)
+    assert peak <= 2.5 * sample_bytes
 
 
 def test_relative_defect_is_scale_free():

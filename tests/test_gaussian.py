@@ -8,6 +8,8 @@ compared against the closed-form block/trace formulas, so the two code
 paths check each other.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,45 @@ def test_sampling_split_batches_are_bit_identical():
         for seed in [-1, 2**128]:
             with pytest.raises(ValueError):
                 sample(rho, seed=seed, count=3)
+
+
+@pytest.mark.parametrize("kind", ["generator n=1", "counter pure n=128", "full rank n=128"])
+def test_sampling_splits_across_block_boundaries_are_bit_identical(kind):
+    # the request starts one row before a block boundary and ends a few
+    # rows into the fifth block, so it is drawn as a partial block, three
+    # whole ones and a partial one
+    pure, full = _pure_and_full_rank_states(128)
+    rho = {
+        "generator n=1": GaussianState.isotropic(1, 1.0),
+        "counter pure n=128": pure,
+        "full rank n=128": full,
+    }[kind]
+    block = gaussian.ROW_BLOCK
+    start, count = block - 1, 3 * block + 5
+    whole = sample(rho, seed=7, count=count, start=start)
+    assert np.array_equal(whole, sample(rho, seed=7, count=start + count + 2)[start:-2])
+    cuts = [start, block, block + 1, 3 * block - 1, 4 * block, start + count]
+    split = np.vstack(
+        [sample(rho, seed=7, count=b - a, start=a) for a, b in zip(cuts, cuts[1:])]
+    )
+    assert np.array_equal(whole, split)
+
+
+def test_sampling_holds_the_output_and_few_blocks():
+    # full rank at n = 32: every word of a row is drawn and shaped, so the
+    # draw of all rows at once would hold uniforms, normals and output
+    rho = random_j_invariant_state(np.random.default_rng(23), 32)
+    count = 5 * gaussian.ROW_BLOCK + 3
+    row_bytes = 2 * rho.n * 8
+    sample(rho, seed=1, count=2)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        pts = sample(rho, seed=1, count=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.nbytes == count * row_bytes
+    assert peak <= pts.nbytes + 3 * gaussian.ROW_BLOCK * row_bytes
 
 
 def test_pure_state_sampling_shapes_only_its_support(monkeypatch):
