@@ -23,11 +23,11 @@ depends only on (variable, state, seed, count), not on the variables
 reduced beside it, and is the same to the last bit for a fixed BLAS
 library and thread count. The stream is read in support coordinates:
 the r standard normals z of a row of a rank-r state, whose sample row
-is z F. Structured variables are evaluated there, each form
-(A psi, psi) as (F A F^T z, z) with an r x r matrix; equal support
-operators are formed once per chunk across all the variables of a
-call. Only black boxes get shaped rows, from the same shaping code as
-``sample``.
+is z F for the state's support factor F. Structured variables are
+evaluated there, each form (A psi, psi) as (F A F^T z, z) with an
+r x r matrix; equal support operators are formed once per chunk across
+all the variables of a call. Only black boxes get shaped rows, from the
+same shaping code as ``sample``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .gaussian import (
     GaussianState,
     _normals,
     _shape,
-    _support_factor,
     complex_covariance,
     dispersion,
 )
@@ -132,7 +131,8 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     returns.
 
     The stream is read as support normals z in fixed ROW_BLOCK-row
-    chunks; a sample row is z F (:func:`pcsft.gaussian.sample`). A
+    chunks; a sample row is z F, F being the state's stored support
+    factor (:func:`pcsft.gaussian.sample`). A
     structured variable is evaluated in support coordinates:
     (A psi, psi) = (G z, z) with G = F A F^T, r x r for a rank-r state,
     formed once per call. Equal G (by value) are kept once, so each
@@ -148,7 +148,7 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     if count < 2:
         raise ValueError("count must be at least 2")
     seed = int(seed)
-    factor = _support_factor(rho)
+    factor = rho._factor
     # the call's distinct support operators G = F A F^T, equal ones kept
     # once; per structured variable, the index of each of its operators' G
     support_ops, slots = [], []

@@ -16,13 +16,16 @@ matrix, which is how these measures project onto density operators (see
 Sampling is counter-based: a fixed (seed, start, count) triple always
 yields the same rows, and splitting a batch at any sample boundary
 reproduces the sequential stream bit for bit, for a fixed BLAS library
-and thread count. Only the covariance's support is drawn: when the
-Philox blocks that hold a row's support columns are a small share of
-the row's blocks, only those blocks are generated, each from its own
-counter, so a rank-2 state pays for 4 words per row instead of 2n. The
-inverse normal CDF ``ndtri`` comes from
-``scipy.special``, loaded on the first call of :func:`ndtri`, so that
-importing this module loads no scipy.
+and thread count. A state carries one support factor F with
+B = F^T F, r x 2n for rank r, and a row is z F for r standard normals
+z. A general state takes F from the ``eigh`` that validates B; the
+pure-state and isotropic factors are known exactly and take no
+``eigh``. Only the support is drawn: when the Philox blocks that hold a
+row's support columns are a small share of the row's blocks, only those
+blocks are generated, each from its own counter, so a rank-2 state pays
+for 4 words per row instead of 2n. The inverse normal CDF ``ndtri``
+comes from ``scipy.special``, loaded on the first call of
+:func:`ndtri`, so that importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -79,8 +82,12 @@ class GaussianState:
     positive semidefinite within ``DEFAULT_TOL`` relative to its largest
     |eigenvalue| (see :meth:`pcsft.symplectic.CheckResult.within`).
     Rank-deficient covariances are allowed; they describe measures
-    supported on a subspace. The ``eigh`` that checks positivity is kept
-    for sampling, so a state is decomposed once.
+    supported on a subspace. A state carries one read-only support
+    factor F, r x 2n for a rank-r covariance B = F^T F, from which it is
+    sampled and reduced. The ``eigh`` that checks positivity gives it,
+    so a state is decomposed once. :meth:`isotropic` and
+    :func:`pure_state_measure` know their factors exactly and take no
+    ``eigh``.
     """
 
     covariance: np.ndarray
@@ -94,9 +101,26 @@ class GaussianState:
         w, v = np.linalg.eigh(b)
         if not CheckResult.within(-float(w[0]), float(np.max(np.abs(w)))):
             raise ValueError(f"covariance not positive semidefinite (min eig {w[0]:.3e})")
-        b.setflags(write=False)
-        object.__setattr__(self, "covariance", b)
-        object.__setattr__(self, "_eigensystem", (w, v))  # used by sampling
+        # eigenvalues within round-off of zero count as exact zeros; eigh
+        # sorts ascending, so the kept directions, the support, are a suffix
+        low = len(w) - int(np.count_nonzero(w > 1e-14 * max(float(w[-1]), 0.0)))
+        self._store(b, (v[:, low:] * np.sqrt(w[low:])).T)
+
+    def _store(self, covariance: np.ndarray, factor: np.ndarray) -> None:
+        """Keep B and its support factor F, both read-only."""
+        covariance.setflags(write=False)
+        factor.setflags(write=False)
+        object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "_factor", factor)  # (r, 2n), B = F^T F
+
+    @classmethod
+    def _factored(cls, covariance: np.ndarray, factor: np.ndarray) -> "GaussianState":
+        """State with a covariance that is factor^T factor by construction,
+        with no eigh: its positivity and support are those of the factor.
+        The covariance is still checked as a :class:`BlockOperator`."""
+        out = object.__new__(cls)
+        out._store(BlockOperator(covariance).matrix, factor)
+        return out
 
     @property
     def n(self) -> int:
@@ -109,10 +133,15 @@ class GaussianState:
 
     @classmethod
     def isotropic(cls, n: int, alpha: float) -> "GaussianState":
-        """Rotation-invariant state with covariance (alpha / 2n) * I."""
+        """Rotation-invariant state with covariance (alpha / 2n) * I.
+
+        Its support factor is sqrt(alpha / 2n) * I, exactly what ``eigh``
+        gives for this covariance, and none when alpha = 0 (rank 0)."""
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        return cls(np.eye(2 * n) * (alpha / (2 * n)))
+        b = np.eye(2 * n) * (alpha / (2 * n))
+        rank = 2 * n if alpha > 0 else 0
+        return cls._factored(b, np.eye(rank, 2 * n) * math.sqrt(alpha / (2 * n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +234,9 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     The covariance is (alpha/2) (e1 e1^T + e2 e2^T) with e1 = (u, v) and
     e2 = (-v, u) for psi = u + iv, i.e. rank two, supported on the real
     plane spanned by psi and J psi. Its complex covariance is
-    alpha * psi psi^dagger.
+    alpha * psi psi^dagger. Its support factor is the exact
+    sqrt(alpha/2) (e1; e2), so building, sampling and reducing the state
+    take no ``eigh``.
     """
     z = np.asarray(psi, dtype=complex)
     if z.ndim != 1 or z.size < 1:
@@ -219,7 +250,7 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     e1 = np.concatenate([u, v])
     e2 = np.concatenate([-v, u])
     b = (alpha / 2.0) * (np.outer(e1, e1) + np.outer(e2, e2))
-    return GaussianState(b)
+    return GaussianState._factored(b, math.sqrt(alpha / 2.0) * np.stack([e1, e2]))
 
 
 def pushforward(rho: GaussianState, u: BlockOperator) -> GaussianState:
@@ -316,26 +347,10 @@ def _philox_blocks(seed: int, first: int, offsets) -> np.ndarray:
     return np.stack(ctr, axis=-1)
 
 
-def _support_start(rho: GaussianState) -> int:
-    """First kept eigendirection of the covariance. Eigenvalues within
-    round-off of zero count as exact zeros, and ``eigh`` sorts ascending,
-    so the kept directions, the support, are a suffix."""
-    w = rho._eigensystem[0]
-    return len(w) - int(np.count_nonzero(w > 1e-14 * max(float(w[-1]), 0.0)))
-
-
-def _support_factor(rho: GaussianState) -> np.ndarray:
-    """The (r, 2n) factor F of the covariance on its rank-r support,
-    B = F^T F: a sample row is z F for r standard normals z."""
-    w, v = rho._eigensystem
-    low = _support_start(rho)
-    return (v[:, low:] * np.sqrt(w[low:])).T
-
-
 def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarray:
     """The (count, r) support normals of rows start..start+count-1 of the
     stream of (rho, seed): ``ndtri`` of the row's uniforms in the support
-    columns.
+    columns, the last r = len(rho._factor) of its 2n.
 
     Row k owns Philox blocks k*b..k*b+b-1, b = ceil(2n/4). When the blocks
     that hold the support columns are at most ``_COUNTER_SHARE`` of b,
@@ -345,7 +360,7 @@ def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarra
     count >= 1; a rank-0 state then gets a (count, 0) array.
     """
     dim = 2 * rho.n
-    low = _support_start(rho)
+    low = dim - len(rho._factor)
     blocks, first = (dim + 3) // 4, low // 4
     if blocks - first <= _COUNTER_SHARE * blocks:
         offsets = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(blocks)
@@ -402,13 +417,12 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     the same whether generated in one batch or in any split of batches,
     for a fixed BLAS library and thread count. Gaussian shaping applies
     the inverse normal CDF to counter-based uniforms and multiplies by
-    the symmetric eigenfactor of the covariance. Only the support is
-    drawn and shaped: eigenvalues within round-off of zero count as
-    exact zeros, and their directions get neither ``ndtri`` nor a matmul
-    column, so a pure-state measure shapes 2 normals per row whatever n
-    is. When the support's Philox blocks are at most 1/8 of a row's,
-    only those blocks are generated: from n = 15 on, a pure-state
-    measure draws one block of 4 words per row. Every row goes through
+    the state's support factor F (:class:`GaussianState`). Only the
+    support is drawn and shaped: F has one row per support direction,
+    so a pure-state measure shapes 2 normals per row whatever n is. When
+    the support's Philox blocks are at most 1/8 of a row's, only those
+    blocks are generated: from n = 15 on, a pure-state measure draws one
+    block of 4 words per row. Every row goes through
     one BLAS matmul of a fixed shape at a fixed position: the
     ROW_BLOCK-row block that starts at a multiple of ROW_BLOCK in the
     global row index. Rows of a block outside the request are zeros and
@@ -422,10 +436,9 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     if count == 0:
         return np.zeros((count, 2 * rho.n))
     seed, count, start = int(seed), int(count), int(start)
-    factor = _support_factor(rho)
     out = np.empty((count, 2 * rho.n))
     stop = start + count
     for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
         a, b = max(start, first), min(stop, first + ROW_BLOCK)
-        _shape(_normals(rho, seed, b - a, a), factor, a, out=out[a - start : b - start])
+        _shape(_normals(rho, seed, b - a, a), rho._factor, a, out=out[a - start : b - start])
     return out

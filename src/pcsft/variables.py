@@ -4,12 +4,13 @@ Two representations coexist behind one interface:
 
 * structured: a sum of powers of quadratic forms,
   f(psi) = sum_i c_i * (A_i psi, psi)^{k_i}, with every A_i symmetric
-  and J-commuting. Values, gradients and Hessians are analytic, and
-  membership in the projectable class (f(0) = 0, even, J-invariant)
-  holds by construction. Terms are grouped once, at construction, by
-  operator identity (equal operators built separately stay distinct);
-  each evaluation computes an operator's image or form once, then adds
-  the terms in term order, so results equal a per-term sum bit for bit.
+  and J-commuting. Values, gradients and the Hessian at the origin are
+  analytic, and membership in the projectable class (f(0) = 0, even,
+  J-invariant) holds by construction. Terms are grouped once, at
+  construction, by operator identity (equal operators built separately
+  stay distinct); each evaluation computes an operator's image or form
+  once, then adds the terms in term order, so results equal a per-term
+  sum bit for bit.
 * black box: value and optional gradient callbacks operating on batches
   of flattened phase points. Class membership can only be screened by
   random probes, and the Hessian at the origin falls back to central
@@ -179,33 +180,14 @@ class ClassicalVariable:
     def gradient(self, psi: PhaseVector) -> PhaseVector:
         return PhaseVector.from_flat(self.gradients(psi.flat()[None, :])[0])
 
-    def hessians(self, pts: np.ndarray) -> np.ndarray:
-        """Second derivative matrices f''(psi) of a structured variable on a
-        (..., 2n) batch, as a (..., 2n, 2n) array.
-
-        A term c s^k with s = (A psi, psi) contributes
-        2ck s^(k-1) A + 4ck(k-1) s^(k-2) (A psi)(A psi)^T. Black boxes
-        raise ValueError.
-        """
-        if self._terms is None:
-            raise ValueError("hessians need a structured variable, not a black box")
-        pts = self._check_batch(pts)
-        images, forms = self._images(pts)
-        out = np.zeros(pts.shape + pts.shape[-1:])
-        for i, c, k in self._grouping:
-            s, a_pts = forms[i][..., None, None], images[i]
-            out += (2.0 * c * k) * s ** (k - 1) * self._operators[i]
-            if k > 1:
-                out += (4.0 * c * k * (k - 1)) * s ** (k - 2) * (a_pts[..., :, None] * a_pts[..., None, :])
-        return out
-
     # -- calculus at the origin ----------------------------------------
 
     def hessian_at_zero(self) -> BlockOperator:
         """Second derivative matrix f''(0).
 
-        Analytic for structured variables (:meth:`hessians` at the origin).
-        Black boxes use central differences of the gradient when a
+        Analytic for structured variables: 2c A summed over the power-1
+        terms in term order, since a term of power k >= 2 is of order 2k
+        in psi and adds nothing at the origin. Black boxes use central differences of the gradient when a
         gradient callback exists, otherwise second differences of values;
         the step is ``_HESSIAN_STEP`` (round-off in the double difference
         scales with the values near the origin, which vanish for this
@@ -214,7 +196,11 @@ class ClassicalVariable:
         """
         dim = 2 * self._n
         if self._terms is not None:
-            return BlockOperator(self.hessians(np.zeros((1, dim)))[0])
+            h = np.zeros((dim, dim))
+            for i, c, k in self._grouping:
+                if k == 1:
+                    h += (2.0 * c) * self._operators[i]
+            return BlockOperator(h)
         step = _HESSIAN_STEP
         if self._gradient_fn is not None:
             probes = np.concatenate([np.eye(dim) * step, -np.eye(dim) * step])

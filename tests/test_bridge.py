@@ -247,6 +247,7 @@ def test_support_coordinates_match_phase_space_reference(case):
 @pytest.mark.parametrize("n", [1, 2, 8])  # numpy's generator at n = 1, counter blocks at 2 and 8
 def test_zero_dispersion_state_averages_to_zero(n):
     rho = GaussianState.isotropic(n, 0.0)
+    assert rho._factor.shape == (0, 2 * n)  # rank 0: no row of normals is drawn
     for start, count in [(0, 1), (3, 5), (4090, 10), (0, ROW_BLOCK + 1)]:
         pts = sample(rho, seed=3, count=count, start=start)
         assert pts.shape == (count, 2 * n)

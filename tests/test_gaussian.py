@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from pcsft import gaussian
+from pcsft.bridge import classical_average
 from pcsft.gaussian import (
     DensityOperator,
     GaussianState,
@@ -27,6 +28,7 @@ from pcsft.gaussian import (
     sample,
 )
 from pcsft.symplectic import BlockOperator, ComplexOperator, complex_to_real, real_to_complex
+from pcsft.variables import ClassicalVariable
 
 
 def random_j_invariant_state(rng, n, alpha=None):
@@ -347,7 +349,7 @@ def test_sampling_split_batches_are_bit_identical():
         u = gaussian._block_aligned_uniforms(99, 1000, 9000, dim)[:, low:]
         padded = np.zeros((3 * gaussian.ROW_BLOCK, rank))
         padded[1000:10000] = gaussian.ndtri(np.clip(u, np.finfo(float).tiny, None))
-        factor = gaussian._support_factor(rho)
+        factor = rho._factor
         reference = np.vstack([blk @ factor for blk in np.split(padded, 3)])[1000:10000]
         assert np.array_equal(whole, reference)
         cuts = [1000, 1001, 4095, 4097, 8191, 8200, 10000]
@@ -437,11 +439,69 @@ def test_state_is_decomposed_once(monkeypatch):
     second = sample(rho, seed=3, count=40, start=40)
     assert calls == {"eigh": 1, "eigvalsh": 0}
     monkeypatch.undo()
-    # the validating decomposition is the one sampling always used
-    w, v = rho._eigensystem
-    w_ref, v_ref = np.linalg.eigh(rho.covariance)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    # the stored factor comes from the validating decomposition
+    w, v = np.linalg.eigh(rho.covariance)
+    assert rho._factor.shape == (6, 6)
+    assert np.array_equal(rho._factor, (v * np.sqrt(w)).T)
     assert np.array_equal(np.vstack([first, second]), sample(rho, seed=3, count=80))
+
+
+def _quadratic_and_quartic(rng, n):
+    d = rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n))
+    a = BlockOperator.from_pair((d + d.T) / 2, (s - s.T) / 2)
+    return ClassicalVariable.quadratic(a), ClassicalVariable.polynomial(a, [0.5, 0.25])
+
+
+def test_known_factors_take_no_eigh(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    rho = pure_state_measure(psi / np.linalg.norm(psi), 0.3)
+    pts = sample(rho, seed=2, count=50)
+    f = _quadratic_and_quartic(rng, 128)[1]
+    classical_average(f, rho, seed=2, count=50)
+    iso = GaussianState.isotropic(128, 0.3)
+    sample(iso, seed=2, count=50)
+    classical_average(f, iso, seed=2, count=50)
+    assert calls == []
+    assert pts.shape == (50, 256) and rho._factor.shape == (2, 256)
+    assert iso._factor.shape == (256, 256)
+
+
+@pytest.mark.parametrize("n", [1, 8, 128])
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_isotropic_factor_matches_its_eigh(n, alpha):
+    # rows draw every Philox block from numpy's generator, except at
+    # alpha = 0 from n = 2 on, where rank 0 takes the counter path
+    iso = GaussianState.isotropic(n, alpha)
+    ref = GaussianState(np.eye(2 * n) * (alpha / (2 * n)))
+    assert np.array_equal(iso.covariance, ref.covariance)
+    assert np.array_equal(iso._factor, ref._factor)
+    # a partial block, a block boundary and a whole block
+    for start, count in [(0, 5), (4090, 12), (0, gaussian.ROW_BLOCK)]:
+        assert np.array_equal(sample(iso, 5, count, start), sample(ref, 5, count, start))
+    quadratic, quartic = _quadratic_and_quartic(np.random.default_rng(n), n)
+    black_box = ClassicalVariable.from_callbacks(quartic.values, n=n)
+    for f in (quadratic, quartic, black_box):
+        assert classical_average(f, iso, 6, 5000) == classical_average(f, ref, 6, 5000)
+
+
+def test_pure_factor_gram_is_the_covariance():
+    rng = np.random.default_rng(32)
+    for n, alpha in [(1, 1.0), (5, 0.01), (128, 3.0)]:
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rho = pure_state_measure(psi / np.linalg.norm(psi), alpha)
+        f = rho._factor
+        assert f.shape == (2, 2 * n) and not f.flags.writeable
+        assert np.max(np.abs(f.T @ f - rho.covariance)) <= 1e-15 * alpha
 
 
 def test_sampling_seeds_and_starts_differ():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcsft.dynamics import NonquadraticHamiltonian
-from pcsft.symplectic import FD_TOL, BlockOperator, PhaseVector, j_matrix
+from pcsft.symplectic import BlockOperator, PhaseVector, j_matrix
 from pcsft.variables import ClassicalVariable, QuadraticTerm, _quadratic_forms, screen_variable
 
 
@@ -91,25 +91,6 @@ def test_gradients_with_shared_operators_match_per_term_reference():
         if t.power == 1:
             ref += 2.0 * t.coefficient * t.operator.matrix
     assert np.array_equal(f.hessian_at_zero().matrix, ref)
-
-
-def test_hessians_match_differences_of_gradients():
-    rng = np.random.default_rng(8)
-    step = 1e-5
-    a = random_admissible_operator(rng, 2)
-    for f in (interleaved_variable(rng, 2), ClassicalVariable.polynomial(a, [0.5, 0.0, 0.125])):
-        for pts in (rng.standard_normal((5, 4)), rng.standard_normal((2, 3, 4))):
-            h = f.hessians(pts)
-            assert h.shape == pts.shape + (4,)
-            fd = np.empty_like(h)
-            for i in range(4):
-                e = np.zeros(4)
-                e[i] = step
-                fd[..., :, i] = (f.gradients(pts + e) - f.gradients(pts - e)) / (2 * step)
-            assert np.max(np.abs(h - fd)) <= FD_TOL * np.max(np.abs(h))
-    bb = ClassicalVariable.from_callbacks(f.values, f.gradients, n=2)
-    with pytest.raises(ValueError, match="structured"):
-        bb.hessians(np.zeros((1, 4)))
 
 
 def test_gradient_matches_finite_differences():
