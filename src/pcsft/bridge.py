@@ -28,6 +28,15 @@ evaluated there, each form (A psi, psi) as (F A F^T z, z) with an
 r x r matrix; equal support operators are formed once per chunk across
 all the variables of a call. Only black boxes get shaped rows, from the
 same shaping code as ``sample``.
+
+A call reads its chunks from one per-call stream, the one ``sample``
+uses: at most one Philox generator, keyed and advanced once, and buffers
+of min(count, 4096) rows that every chunk overwrites, plus one work
+block of as many rows for the forms. Beyond those a call allocates only
+a few chunk-long columns per chunk (and a black box's shaped rows), so
+memory stays bounded whatever ``count`` is and no chunk-sized array is
+freed and faulted in again. ``seed`` and ``count`` must be integers: a
+float raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
@@ -40,10 +49,9 @@ import numpy as np
 from ._csvio import write_csv
 from .dynamics import schrodinger_flow
 from .gaussian import (
-    ROW_BLOCK,
     DensityOperator,
     GaussianState,
-    _normals,
+    _NormalStream,
     _shape,
     complex_covariance,
     dispersion,
@@ -131,13 +139,17 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     returns.
 
     The stream is read as support normals z in fixed ROW_BLOCK-row
-    chunks; a sample row is z F, F being the state's stored support
-    factor (:func:`pcsft.gaussian.sample`). A
-    structured variable is evaluated in support coordinates:
-    (A psi, psi) = (G z, z) with G = F A F^T, r x r for a rank-r state,
-    formed once per call. Equal G (by value) are kept once, so each
-    distinct form (G z, z) is computed once per chunk and shared by every
-    variable that carries it; equal G give equal bits. A black box gets
+    chunks, from the per-call stream ``sample`` draws from: at most one
+    Philox generator and buffers that every chunk reuses. A sample row
+    is z F, F being the state's stored support factor
+    (:func:`pcsft.gaussian.sample`). A structured variable is evaluated
+    in support coordinates: (A psi, psi) = (G z, z) with G = F A F^T,
+    r x r for a rank-r state, formed once per call. Equal G (by value)
+    are kept once, so each distinct form (G z, z) is computed once per
+    chunk and shared by every variable that carries it; equal G give
+    equal bits. Every G z is written into one (rows, r) work block, so
+    beyond the stream's buffers a call holds that block and a few
+    chunk-long columns. A black box gets
     the chunk's rows from the shaping ``sample`` uses, so it sees the
     same bits. A chunk's values are stacked as a (k, m) array, one
     contiguous row per column, and each row is summed with numpy's
@@ -145,9 +157,10 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     chunk's (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque
     1979), so the spread survives a mean far larger than it.
     """
+    stream = _NormalStream(rho, seed, count)
+    count = stream.count
     if count < 2:
         raise ValueError("count must be at least 2")
-    seed = int(seed)
     factor = rho._factor
     # the call's distinct support operators G = F A F^T, equal ones kept
     # once; per structured variable, the index of each of its operators' G
@@ -163,17 +176,18 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
                 support_ops.append(g)
             slots[-1].append(slot)
     black_box = any(idx is None for idx in slots)
-    done, mean, m2 = 0, 0.0, 0.0
-    while done < count:
-        m = min(ROW_BLOCK, count - done)
-        z = _normals(rho, seed, m, done)
-        rows = _shape(z, factor, done) if black_box else None
-        forms = [_quadratic_forms(z, g) for g in support_ops]
+    # one (rows, r) block that every form's G z is written to, chunk after chunk
+    work = np.empty((stream.rows, len(factor))) if support_ops else None
+    mean, m2 = 0.0, 0.0
+    for done, z in stream:
+        m = len(z)
+        rows = _shape(z, factor, done, block=stream.block) if black_box else None
+        forms = [_quadratic_forms(z, g, work) for g in support_ops]
         values = [
             f.values(rows) if idx is None else f._from_forms([forms[i] for i in idx])
             for f, idx in zip(variables, slots)
         ]
-        del z, rows, forms  # free the chunk before the next one is drawn
+        del rows, forms  # free the chunk before the next one is drawn
         # one contiguous row per column, each summed pairwise on its own
         cols = np.stack(values) if columns is None else columns(*values)
         chunk_mean = cols.mean(axis=1)
@@ -181,7 +195,6 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
         merged = done + m
         mean = mean + delta * (m / merged)
         m2 = m2 + ((cols - chunk_mean[:, None]) ** 2).sum(axis=1) + delta**2 * (done * m / merged)
-        done = merged
     stderrs = np.sqrt(m2 / (count - 1) / count)
     return [MonteCarloEstimate(float(a), float(b), count) for a, b in zip(mean, stderrs)]
 

@@ -26,11 +26,24 @@ blocks are generated, each from its own counter, so a rank-2 state pays
 for 4 words per row instead of 2n. The inverse normal CDF ``ndtri``
 comes from ``scipy.special``, loaded on the first call of
 :func:`ndtri`, so that importing this module loads no scipy.
+
+Each sampling call, :func:`sample` or a Monte Carlo reduction in
+:mod:`pcsft.bridge`, reads one private per-call stream of support
+normals. When rows draw all their Philox blocks, it keys one numpy
+generator and advances it once, to the first row, then draws block
+after block from it. ``ndtri`` runs in place in one normals buffer of
+min(count, ROW_BLOCK) rows, which every block overwrites, and the
+uniforms go to one more such buffer, or straight into the normals
+buffer when the support is the whole row. Beyond its output a call
+therefore holds these buffers and at most one block's product, whatever
+its count. ``seed``, ``count`` and ``start`` must be integers; a float
+raises ``TypeError`` instead of being truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,24 +299,6 @@ def quadratic_average(rho: GaussianState, a) -> float:
     return value.real
 
 
-def _block_aligned_uniforms(seed: int, start: int, count: int, dim: int) -> np.ndarray:
-    """Uniforms in [0,1) from a Philox counter stream, one padded row per
-    sample.
-
-    The counter generator emits 64-bit words in blocks of 4 and
-    ``advance`` moves whole blocks, so each sample is given
-    ceil(dim/4)*4 words. That makes every sample boundary a block
-    boundary: starting at sample ``start`` reproduces exactly the rows a
-    sequential run would have produced there.
-    """
-    words_per_sample = 4 * ((dim + 3) // 4)
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start * (words_per_sample // 4))
-    gen = np.random.Generator(bitgen)
-    u = gen.random((count, words_per_sample))
-    return u[:, :dim]
-
-
 def _mulhilo(a: int, b: np.ndarray):
     """High and low 64-bit words of a * b, for a constant a and uint64 b,
     from 32-bit halves (numpy has no 128-bit product)."""
@@ -327,8 +322,6 @@ def _philox_blocks(seed: int, first: int, offsets) -> np.ndarray:
     offset)`` followed by ``random_raw(4)`` gives, the counter's carry
     and the key's second word included.
     """
-    if not 0 <= seed < 1 << 128:
-        raise ValueError("seed must be in [0, 2**128)")
     offsets = np.asarray(offsets, dtype=np.uint64)
     base = (first + 1) % (1 << 256)
     low = np.uint64(base & _WORD) + offsets
@@ -347,58 +340,109 @@ def _philox_blocks(seed: int, first: int, offsets) -> np.ndarray:
     return np.stack(ctr, axis=-1)
 
 
-def _normals(rho: GaussianState, seed: int, count: int, start: int) -> np.ndarray:
-    """The (count, r) support normals of rows start..start+count-1 of the
-    stream of (rho, seed): ``ndtri`` of the row's uniforms in the support
-    columns, the last r = len(rho._factor) of its 2n.
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; a float or any other non-integer raises,
+    so nothing is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
-    Row k owns Philox blocks k*b..k*b+b-1, b = ceil(2n/4). When the blocks
-    that hold the support columns are at most ``_COUNTER_SHARE`` of b,
-    only those are computed, by counter (:func:`_philox_blocks`);
-    otherwise numpy's generator draws every block of the rows
-    (:func:`_block_aligned_uniforms`). Both give the same words. Needs
-    count >= 1; a rank-0 state then gets a (count, 0) array.
+
+class _NormalStream:
+    """The support normals of rows start..start+count-1 of the stream of
+    (rho, seed), one piece per ROW_BLOCK-row block of the global row
+    index: iterating yields (first row, z), z being the piece's (m, r)
+    normals, ``ndtri`` of each row's uniforms in its support columns, the
+    last r = len(rho._factor) of its 2n.
+
+    Row k owns Philox blocks k*b..k*b+b-1, b = ceil(2n/4). When the
+    blocks that hold the support columns are at most ``_COUNTER_SHARE``
+    of b, only those are computed, by counter (:func:`_philox_blocks`).
+    Otherwise one numpy Philox generator, keyed and advanced to row
+    ``start`` once, draws every block of the rows, piece after piece: a
+    row is a whole number of blocks, so these are the words a generator
+    advanced afresh to each piece would give.
+
+    z is a view of one buffer of ``rows`` = min(count, ROW_BLOCK) rows,
+    which the next piece overwrites: ``ndtri`` runs faster on contiguous
+    rows than on padded ones, so the support columns are clipped into it.
+    The uniforms are drawn into a second buffer of as many rows, or
+    straight into z's when the support is the whole padded row. When
+    ``rows`` is ROW_BLOCK, the buffer is ``block``: each piece sits at
+    its rows of its block, so that :func:`_shape` can zero-pad it in
+    place.
     """
-    dim = 2 * rho.n
-    low = dim - len(rho._factor)
-    blocks, first = (dim + 3) // 4, low // 4
-    if blocks - first <= _COUNTER_SHARE * blocks:
-        offsets = np.arange(count, dtype=np.uint64)[:, None] * np.uint64(blocks)
-        words = _philox_blocks(seed, start * blocks, offsets + np.arange(first, blocks, dtype=np.uint64))
-        # numpy's double from a word: its top 53 bits times 2^-53
-        u = (words.reshape(count, -1) >> np.uint64(11)) * (1.0 / (1 << 53))
-        support = slice(low - 4 * first, dim - 4 * first)
-    else:
-        u = _block_aligned_uniforms(seed, start, count, dim)
-        support = slice(low, dim)
-    # ndtri runs faster on contiguous rows than on the padded ones; a full
-    # row is already contiguous and needs no copy
-    z = np.ascontiguousarray(u[:, support])
-    del u
-    np.clip(z, np.finfo(float).tiny, None, out=z)
-    ndtri(z, out=z)
-    return z
+
+    def __init__(self, rho: GaussianState, seed, count, start=0):
+        self.seed, self.count, self.start = (
+            _integer(name, value) for name, value in (("seed", seed), ("count", count), ("start", start))
+        )
+        if self.count < 0 or self.start < 0:
+            raise ValueError("count and start must be nonnegative")
+        if not 0 <= self.seed < 1 << 128:  # numpy's Philox key
+            raise ValueError("seed must be in [0, 2**128)")
+        self.rows = min(self.count, ROW_BLOCK)
+        dim, rank = 2 * rho.n, len(rho._factor)
+        low = dim - rank
+        self._blocks, first = (dim + 3) // 4, low // 4
+        self._by_counter = self._blocks - first <= _COUNTER_SHARE * self._blocks
+        self._normals = np.empty((self.rows, rank))
+        self.block = self._normals if self.rows == ROW_BLOCK else None
+        if self._by_counter:
+            # each row's support blocks, as offsets from its piece's first block
+            offsets = np.arange(self.rows, dtype=np.uint64)[:, None] * np.uint64(self._blocks)
+            self._offsets = offsets + np.arange(first, self._blocks, dtype=np.uint64)
+            self._support = slice(low - 4 * first, dim - 4 * first)
+        else:
+            whole = low == 0 and dim % 4 == 0
+            self._uniforms = self._normals if whole else np.empty((self.rows, 4 * self._blocks))
+            self._support = slice(low, dim)
+
+    def __iter__(self):
+        if not self._by_counter:
+            gen = np.random.Generator(np.random.Philox(key=self.seed))
+            gen.bit_generator.advance(self.start * self._blocks)
+        stop = self.start + self.count
+        for row in range(self.start - self.start % ROW_BLOCK, stop, ROW_BLOCK):
+            a, b = max(self.start, row), min(stop, row + ROW_BLOCK)
+            at = slice(a - row, b - row) if self.block is not None else slice(0, b - a)
+            if self._by_counter:
+                words = _philox_blocks(self.seed, a * self._blocks, self._offsets[: b - a])
+                # numpy's double from a word: its top 53 bits times 2^-53
+                u = (words.reshape(b - a, -1) >> np.uint64(11)) * (1.0 / (1 << 53))
+            else:
+                u = gen.random(out=self._uniforms[at])
+            z = np.clip(u[:, self._support], np.finfo(float).tiny, None, out=self._normals[at])
+            ndtri(z, out=z)
+            yield a, z
 
 
-def _shape(z: np.ndarray, factor: np.ndarray, start: int, out=None) -> np.ndarray:
+def _shape(z: np.ndarray, factor: np.ndarray, start: int, out=None, block=None) -> np.ndarray:
     """Sample rows z F for the support normals of rows start..start+len(z)-1,
     which lie in one ROW_BLOCK-row block, written to ``out`` when given.
 
     Every row goes through one BLAS matmul of a fixed shape at a fixed
     position: the ROW_BLOCK-row block that starts at a multiple of
     ROW_BLOCK in the global row index. Rows of the block outside the
-    request are zeros. Beyond ``out``, a partial block holds one padded
-    block and its product.
+    request are zeros. A partial block is padded in ``block``, a
+    ROW_BLOCK-row array that holds z at its rows of the block and whose
+    other rows are free, when given, and in a new array otherwise; beyond
+    ``out``, it then holds the block's product.
     """
     if out is None:
         out = np.empty((z.shape[0], factor.shape[1]))
     if z.shape[0] == ROW_BLOCK:
         np.matmul(z, factor, out=out)
-    else:
-        a = start % ROW_BLOCK
+        return out
+    a = start % ROW_BLOCK
+    if block is None:
         block = np.zeros((ROW_BLOCK, z.shape[1]))
         block[a : a + z.shape[0]] = z
-        out[...] = (block @ factor)[a : a + z.shape[0]]
+    else:
+        block[:a] = 0.0
+        block[a + z.shape[0] :] = 0.0
+    out[...] = (block @ factor)[a : a + z.shape[0]]
     return out
 
 
@@ -426,19 +470,19 @@ def sample(rho: GaussianState, seed: int, count: int, start: int = 0) -> np.ndar
     one BLAS matmul of a fixed shape at a fixed position: the
     ROW_BLOCK-row block that starts at a multiple of ROW_BLOCK in the
     global row index. Rows of a block outside the request are zeros and
-    cost no ``ndtri``. The request is drawn and shaped one block at a
-    time straight into the output, so beyond the (count, 2n) output it
-    holds one block's uniforms, normals and product at a time. The first
-    call loads ``scipy.special``, where ``ndtri`` comes from.
+    cost no ``ndtri``. The request is drawn from one per-call stream,
+    with at most one Philox generator, advanced once to ``start``, and
+    shaped one block at a time straight into the output. Its uniforms
+    and normals live in buffers of min(count, ROW_BLOCK) rows that every
+    block reuses (one buffer when the support is the whole row), and a
+    partial block is zero-padded in place there. Beyond the (count, 2n)
+    output a call therefore holds those buffers and one block's product
+    at a time. ``seed``, ``count`` and ``start`` must be integers
+    (``operator.index``); a float raises ``TypeError``. The first call
+    loads ``scipy.special``, where ``ndtri`` comes from.
     """
-    if count < 0 or start < 0:
-        raise ValueError("count and start must be nonnegative")
-    if count == 0:
-        return np.zeros((count, 2 * rho.n))
-    seed, count, start = int(seed), int(count), int(start)
-    out = np.empty((count, 2 * rho.n))
-    stop = start + count
-    for first in range(start - start % ROW_BLOCK, stop, ROW_BLOCK):
-        a, b = max(start, first), min(stop, first + ROW_BLOCK)
-        _shape(_normals(rho, seed, b - a, a), rho._factor, a, out=out[a - start : b - start])
+    stream = _NormalStream(rho, seed, count, start)
+    out = np.empty((stream.count, 2 * rho.n))
+    for a, z in stream:
+        _shape(z, rho._factor, a, out[a - stream.start : a - stream.start + len(z)], stream.block)
     return out

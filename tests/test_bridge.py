@@ -8,10 +8,12 @@ while its projected operator is 1/2, so the correspondence error is
 exactly alpha: slope one on a log-log plot.
 """
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pcsft import gaussian
 from pcsft.bridge import (
     DEFAULT_ALPHA_GRID,
     alpha_scan,
@@ -296,9 +298,9 @@ def test_equal_support_operators_are_formed_once_per_chunk(monkeypatch):
     calls = []
     forms = bridge._quadratic_forms
 
-    def counted(z, g):
+    def counted(z, g, *work):
         calls.append(g)
-        return forms(z, g)
+        return forms(z, g, *work)
 
     monkeypatch.setattr(bridge, "_quadratic_forms", counted)
     # amplify(f) and amplify(quad) carry equal operators (A = I): one form per chunk
@@ -310,6 +312,100 @@ def test_equal_support_operators_are_formed_once_per_chunk(monkeypatch):
     g = ClassicalVariable.quadratic(BlockOperator(2.0 * np.eye(2)))
     bridge._reduce([f, g], rho, 9, ROW_BLOCK + 1)
     assert len(calls) == 4  # unequal operators: two forms per chunk, two chunks
+
+
+def _rekeyed_reduce(variables, rho, seed, count):
+    """``_reduce``'s estimates as the reducer computed them before it kept
+    one generator per call: each ROW_BLOCK chunk's uniforms from a Philox
+    keyed and advanced to the chunk afresh, every word of a row drawn."""
+    dim, factor = 2 * rho.n, rho._factor
+    low = dim - len(factor)
+    words = 4 * ((dim + 3) // 4)
+    done, mean, m2 = 0, 0.0, 0.0
+    while done < count:
+        m = min(ROW_BLOCK, count - done)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(done * words // 4)
+        u = np.random.Generator(bitgen).random((m, words))[:, low:dim]
+        z = gaussian.ndtri(np.clip(u, np.finfo(float).tiny, None))
+        padded = np.zeros((ROW_BLOCK, len(factor)))
+        padded[:m] = z
+        rows = (padded @ factor)[:m]
+        values = []
+        for f in variables:
+            if f.is_structured:
+                forms = [np.einsum("ij,ij->i", z @ (factor @ a @ factor.T), z) for a in f._operators]
+                values.append(f._from_forms(forms))
+            else:
+                values.append(f.values(rows))
+        cols = np.stack(values)
+        chunk_mean = cols.mean(axis=1)
+        delta = chunk_mean - mean
+        merged = done + m
+        mean = mean + delta * (m / merged)
+        m2 = m2 + ((cols - chunk_mean[:, None]) ** 2).sum(axis=1) + delta**2 * (done * m / merged)
+        done = merged
+    stderrs = np.sqrt(m2 / (count - 1) / count)
+    return [(float(a), float(b), count) for a, b in zip(mean, stderrs)]
+
+
+def _stream_cases():
+    """(state, Philox path): full rank at n = 8, full rank at n = 1 (two
+    of a row's four words used), a pure state at n = 128 and rank 0 at
+    n = 2."""
+    rng = np.random.default_rng(43)
+    psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+    y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return [
+        (from_complex_covariance(ComplexOperator(y @ y.conj().T / 8)), "generator"),
+        (GaussianState.isotropic(1, 0.7), "generator"),
+        (pure_state_measure(psi / np.linalg.norm(psi), 0.5), "counter"),
+        (GaussianState.isotropic(2, 0.0), "counter"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_reduce_matches_a_stream_rekeyed_at_every_chunk(monkeypatch, case):
+    from pcsft import bridge
+
+    rho, path = _stream_cases()[case]
+    assert len(rho._factor) == (16, 2, 2, 0)[case]
+    f = ClassicalVariable.polynomial(_psd_operator(np.random.default_rng(case), rho.n), [0.5, 0.25])
+    box = ClassicalVariable.from_callbacks(f.values, n=f.n)
+    count = 2 * ROW_BLOCK + 17  # two whole chunks and a partial one
+    expected = _rekeyed_reduce([f, box], rho, 77, count)
+    keyed = []
+    original = np.random.Philox
+
+    def counted(*args, **kwargs):
+        keyed.append(kwargs.get("key", args[0] if args else None))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    estimates = bridge._reduce([f, box], rho, 77, count)
+    assert [tuple(e) for e in estimates] == expected
+    assert keyed == ([77] if path == "generator" else [])
+
+
+def test_classical_average_holds_the_stream_buffers_and_columns():
+    # full rank at n = 32: a chunk of uniforms is 2n words a row, drawn
+    # straight into the normals buffer, and G z goes to one reused block
+    rng = np.random.default_rng(24)
+    y = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    rho = from_complex_covariance(ComplexOperator(y @ y.conj().T / 32))
+    f = ClassicalVariable.polynomial(_psd_operator(rng, 32), [0.5, 0.5])
+    count = 5 * ROW_BLOCK + 3
+    block_bytes = ROW_BLOCK * 2 * rho.n * 8
+    classical_average(f, rho, seed=1, count=2)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        classical_average(f, rho, seed=1, count=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the normals buffer and the work block, plus a few chunk-long columns
+    # (forms, terms, values and their spreads), never a third block
+    assert peak <= 2 * block_bytes + 16 * ROW_BLOCK * 8
 
 
 def test_quantum_average_basics():
@@ -434,6 +530,22 @@ def test_alpha_scan_determinism_and_serialisation(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == (
         "alpha,classical_mean,classical_stderr,error,error_stderr"
+    )
+
+
+def test_monte_carlo_calls_reject_non_integral_stream_arguments():
+    f = quartic_benchmark()
+    rho = GaussianState.isotropic(1, 1.0)
+    for seed, count in [(7, 100.0), (7.0, 100), (7, 2.5)]:
+        name = "count" if isinstance(count, float) else "seed"
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            classical_average(f, rho, seed=seed, count=count)
+    with pytest.raises(TypeError, match="count must be an integer"):
+        alpha_scan(f, rho, alphas=(0.1,), seed=0, count=100.0)
+    with pytest.raises(TypeError):
+        alpha_scan(f, rho, alphas=(0.1,), seed=0.0, count=100)
+    assert classical_average(f, rho, seed=np.uint64(7), count=np.int64(100)) == classical_average(
+        f, rho, seed=7, count=100
     )
 
 

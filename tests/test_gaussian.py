@@ -40,6 +40,15 @@ def random_j_invariant_state(rng, n, alpha=None):
     return from_complex_covariance(ComplexOperator(m))
 
 
+def philox_uniforms(seed, start, count, dim):
+    """Uniforms of rows start..start+count-1, each row ceil(dim/4) whole
+    Philox blocks, from a generator keyed and advanced to row start."""
+    words = 4 * ((dim + 3) // 4)
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(start * (words // 4))
+    return np.random.Generator(bitgen).random((count, words))[:, :dim]
+
+
 def random_state(rng, size):
     x = rng.standard_normal((size, size))
     return GaussianState(x @ x.T)
@@ -346,7 +355,7 @@ def test_sampling_split_batches_are_bit_identical():
         # reference: every word of each row from numpy's generator, ndtri
         # on the support columns, and each ROW_BLOCK block of the global
         # row index shaped by one zero-padded matmul
-        u = gaussian._block_aligned_uniforms(99, 1000, 9000, dim)[:, low:]
+        u = philox_uniforms(99, 1000, 9000, dim)[:, low:]
         padded = np.zeros((3 * gaussian.ROW_BLOCK, rank))
         padded[1000:10000] = gaussian.ndtri(np.clip(u, np.finfo(float).tiny, None))
         factor = rho._factor
@@ -531,6 +540,19 @@ def test_sampling_argument_validation():
     with pytest.raises(ValueError):
         sample(rho, seed=0, count=1, start=-2)
     assert sample(rho, seed=0, count=0).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((1, 2.7), "count"), ((1, 3, 1.5), "start"), ((1.9, 3), "seed"), ((1, np.float64(3.0)), "count")],
+)
+def test_sampling_rejects_non_integral_stream_arguments(args, name):
+    # a float was truncated (count 2.7 gave 2 rows, seed 1.9 seed 1's rows)
+    rho = GaussianState.isotropic(1, 1.0)
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        sample(rho, *args)
+    # numpy integers are integers
+    assert np.array_equal(sample(rho, np.uint64(1), np.int32(3), np.int64(1)), sample(rho, 1, 3, 1))
 
 
 # ---------------------------------------------------------------------------
