@@ -25,18 +25,25 @@ library and thread count. The stream is read in support coordinates:
 the r standard normals z of a row of a rank-r state, whose sample row
 is z F for the state's support factor F. Structured variables are
 evaluated there, each form (A psi, psi) as (F A F^T z, z) with an
-r x r matrix; equal support operators are formed once per chunk across
+r x r matrix; equal support operators are formed once per piece across
 all the variables of a call. Only black boxes get shaped rows, from the
 same shaping code as ``sample``.
 
-A call reads its chunks from one per-call stream, the one ``sample``
-uses: at most one Philox generator, keyed and advanced once, and buffers
-of min(count, 4096) rows that every chunk overwrites, plus one work
-block of as many rows for the forms. Beyond those a call allocates only
-a few chunk-long columns per chunk (and a black box's shaped rows), so
-memory stays bounded whatever ``count`` is and no chunk-sized array is
-freed and faulted in again. ``seed`` and ``count`` must be integers: a
-float raises ``TypeError`` rather than being truncated.
+A call reads one per-call stream, the one ``sample`` uses: at most one
+Philox generator, keyed and advanced once, and buffers that every piece
+overwrites, plus one work block of as many rows for the forms. With a
+black box a piece is a whole chunk. With structured variables alone a
+piece is the largest power of two up to 4096 rows whose widest buffer
+fits 512 KiB (``gaussian._piece_rows``): 4096 rows up to rank 16, 512 at
+rank 128, 256 at rank 256. Each piece's forms are written to their
+columns of one reused chunk-long array per support operator, and values
+and statistics still run once per chunk, so the pieces change no bit.
+Beyond G and those buffers a call allocates only a few chunk-long
+columns per chunk (and a black box's shaped rows). At rank 256 the
+normals, the work block and G are three 512 KiB arrays, where
+whole-chunk buffers held 8 MiB each. Memory stays bounded whatever ``count`` is, and no buffer is freed and
+faulted in again. ``seed`` and ``count`` must be integers: a float
+raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import numpy as np
 from ._csvio import write_csv
 from .dynamics import schrodinger_flow
 from .gaussian import (
+    ROW_BLOCK,
     DensityOperator,
     GaussianState,
     _NormalStream,
@@ -136,28 +144,39 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
     stream of (rho, seed): one per variable, or one per column of
     ``columns(*values)`` when given, ``values`` being the variables'
     values on a chunk and the columns the rows of the (k, m) array it
-    returns.
+    returns. Every variable must have the state's n; a ValueError naming
+    both is raised before anything is drawn.
 
-    The stream is read as support normals z in fixed ROW_BLOCK-row
-    chunks, from the per-call stream ``sample`` draws from: at most one
-    Philox generator and buffers that every chunk reuses. A sample row
-    is z F, F being the state's stored support factor
-    (:func:`pcsft.gaussian.sample`). A structured variable is evaluated
-    in support coordinates: (A psi, psi) = (G z, z) with G = F A F^T,
-    r x r for a rank-r state, formed once per call. Equal G (by value)
-    are kept once, so each distinct form (G z, z) is computed once per
-    chunk and shared by every variable that carries it; equal G give
-    equal bits. Every G z is written into one (rows, r) work block, so
-    beyond the stream's buffers a call holds that block and a few
-    chunk-long columns. A black box gets
-    the chunk's rows from the shaping ``sample`` uses, so it sees the
-    same bits. A chunk's values are stacked as a (k, m) array, one
-    contiguous row per column, and each row is summed with numpy's
-    pairwise sum, so an estimate does not depend on its companions. Each
-    chunk's (count, mean, M2) is merged pairwise (Chan, Golub & LeVeque
-    1979), so the spread survives a mean far larger than it.
+    The stream is read as support normals z from the per-call stream
+    ``sample`` draws from: at most one Philox generator and buffers that
+    every piece reuses. A sample row is z F, F being the state's stored
+    support factor (:func:`pcsft.gaussian.sample`). A structured
+    variable is evaluated in support coordinates: (A psi, psi) =
+    (G z, z) with G = F A F^T, r x r for a rank-r state, formed once per
+    call. Equal G (by value) are kept once, so each distinct form
+    (G z, z) is computed once per piece and shared by every variable
+    that carries it; equal G give equal bits. With no black box the
+    stream's pieces are cache-sized (``gaussian._piece_rows``: 256 rows
+    at r = 256, 512 at r = 128, ROW_BLOCK at r <= 16), every G z is
+    written into one (piece, r) work block, and each piece's forms go to
+    their columns of one reused (k, ROW_BLOCK) array. A call with a black
+    box reads whole ROW_BLOCK pieces, since the black box gets the
+    chunk's rows from the shaping ``sample`` uses and so sees the same
+    bits. Beyond G, a call therefore holds the stream's buffers, the work
+    block and a few ROW_BLOCK-long columns, whatever ``count`` is.
+
+    Values, statistics and merges run once per ROW_BLOCK-row chunk. A
+    chunk's values are stacked as a (k, m) array, one contiguous row per
+    column, and each row is summed with numpy's pairwise sum, so an
+    estimate does not depend on its companions. Each chunk's (count,
+    mean, M2) is merged pairwise (Chan, Golub & LeVeque 1979), so the
+    spread survives a mean far larger than it.
     """
-    stream = _NormalStream(rho, seed, count)
+    for f in variables:
+        if f.n != rho.n:
+            raise ValueError(f"variable dimension n = {f.n} does not match the state's n = {rho.n}")
+    black_box = not all(f.is_structured for f in variables)
+    stream = _NormalStream(rho, seed, count, shaped=black_box)
     count = stream.count
     if count < 2:
         raise ValueError("count must be at least 2")
@@ -175,19 +194,25 @@ def _reduce(variables, rho: GaussianState, seed: int, count: int, columns=None) 
             if slot == len(support_ops):
                 support_ops.append(g)
             slots[-1].append(slot)
-    black_box = any(idx is None for idx in slots)
-    # one (rows, r) block that every form's G z is written to, chunk after chunk
+    # one (piece, r) block that every form's G z is written to, and one
+    # row of forms per G, piece after piece and chunk after chunk
     work = np.empty((stream.rows, len(factor))) if support_ops else None
+    forms = np.empty((len(support_ops), min(count, ROW_BLOCK)))
     mean, m2 = 0.0, 0.0
-    for done, z in stream:
-        m = len(z)
+    for first, z in stream:
+        at = first % ROW_BLOCK
+        for g, out in zip(support_ops, forms[:, at : at + len(z)]):
+            _quadratic_forms(z, g, work, out)
+        m = at + len(z)
+        if m < ROW_BLOCK and first + len(z) < count:
+            continue  # the chunk's next piece follows
+        done = first - at
         rows = _shape(z, factor, done, block=stream.block) if black_box else None
-        forms = [_quadratic_forms(z, g, work) for g in support_ops]
         values = [
-            f.values(rows) if idx is None else f._from_forms([forms[i] for i in idx])
+            f.values(rows) if idx is None else f._from_forms([forms[i, :m] for i in idx])
             for f, idx in zip(variables, slots)
         ]
-        del rows, forms  # free the chunk before the next one is drawn
+        del rows  # free the chunk before the next one is drawn
         # one contiguous row per column, each summed pairwise on its own
         cols = np.stack(values) if columns is None else columns(*values)
         chunk_mean = cols.mean(axis=1)

@@ -299,7 +299,9 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     ``psi0`` is a PhaseVector, a flat (2n,) array, or a (..., 2n) batch.
 
     The step count is round(|t_final| / dt), so the effective step is
-    t_final / steps and the trajectory lands exactly on t_final. Each
+    t_final / steps and the trajectory lands exactly on t_final. ``dt``
+    must be positive and ``t_final`` finite and nonzero, with a finite
+    ratio; otherwise a ValueError names the argument. Each
     step solves x = y + dt * J grad H((y + x)/2) for all rows (leading
     batch axes flattened) at once.
 
@@ -327,10 +329,10 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     that fails, naming the rows that failed there. A ClassicalVariable
     rejects a batch whose last axis is not 2n.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_final == 0:
-        raise ValueError("t_final must be nonzero")
+    if not dt > 0:  # also NaN
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(t_final) or t_final == 0:
+        raise ValueError(f"t_final must be finite and nonzero, got {t_final}")
     if isinstance(psi0, PhaseVector):
         y = psi0.flat()[None, :]
         squeeze = True
@@ -341,7 +343,10 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     if y.shape[-1] % 2 != 0:
         raise ValueError("flat phase points must have even length")
 
-    steps = max(1, round(abs(t_final) / dt))
+    ratio = abs(t_final) / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt overflows: t_final = {t_final}, dt = {dt}")
+    steps = max(1, round(ratio))
     step_dt = t_final / steps
 
     rows = y.reshape(-1, y.shape[-1])

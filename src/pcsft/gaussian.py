@@ -31,13 +31,18 @@ Each sampling call, :func:`sample` or a Monte Carlo reduction in
 :mod:`pcsft.bridge`, reads one private per-call stream of support
 normals. When rows draw all their Philox blocks, it keys one numpy
 generator and advances it once, to the first row, then draws block
-after block from it. ``ndtri`` runs in place in one normals buffer of
-min(count, ROW_BLOCK) rows, which every block overwrites, and the
-uniforms go to one more such buffer, or straight into the normals
-buffer when the support is the whole row. Beyond its output a call
-therefore holds these buffers and at most one block's product, whatever
-its count. ``seed``, ``count`` and ``start`` must be integers; a float
-raises ``TypeError`` instead of being truncated.
+after piece from it. ``sample``, and a reduction with a black box,
+read one piece per ROW_BLOCK-row block, the unit :func:`_shape`
+multiplies. A reduction of structured variables alone reads smaller
+pieces when a row is wide: the largest power of two up to ROW_BLOCK rows
+whose widest buffer fits 512 KiB (:func:`_piece_rows`), so 256 rows at
+rank 256. ``ndtri`` runs in place in one normals buffer of
+min(count, piece) rows, which every piece overwrites, and the uniforms
+go to one more such buffer, or straight into the normals buffer when
+the support is the whole row. Beyond its output a call therefore holds
+these buffers and at most one block's product, whatever its count.
+``seed``, ``count`` and ``start`` must be integers; a float raises
+``TypeError`` instead of being truncated.
 """
 
 from __future__ import annotations
@@ -84,6 +89,9 @@ _LOW32 = (1 << 32) - 1
 # a word computed by counter costs about 8 drawn by numpy's generator, so
 # rows draw only their support blocks when those are at most this share
 _COUNTER_SHARE = 1 / 8
+# a Monte Carlo reduction without a black box reads the stream in pieces
+# whose widest buffer stays within this many bytes, so that they stay in cache
+_PIECE_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +158,8 @@ class GaussianState:
 
         Its support factor is sqrt(alpha / 2n) * I, exactly what ``eigh``
         gives for this covariance, and none when alpha = 0 (rank 0)."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         b = np.eye(2 * n) * (alpha / (2 * n))
@@ -349,12 +359,33 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _piece_rows(width: int) -> int:
+    """Rows per piece of an unshaped stream whose widest per-row buffer
+    has ``width`` doubles: the largest power of two up to ROW_BLOCK whose
+    buffer fits ``_PIECE_BYTES``, so 4096 rows up to width 16, 512 at 128
+    and 256 at 256."""
+    rows = ROW_BLOCK
+    while rows > 1 and rows * width * 8 > _PIECE_BYTES:
+        rows //= 2
+    return rows
+
+
 class _NormalStream:
     """The support normals of rows start..start+count-1 of the stream of
-    (rho, seed), one piece per ROW_BLOCK-row block of the global row
+    (rho, seed), in pieces aligned to their own size in the global row
     index: iterating yields (first row, z), z being the piece's (m, r)
     normals, ``ndtri`` of each row's uniforms in its support columns, the
     last r = len(rho._factor) of its 2n.
+
+    A ``shaped`` stream, the one :func:`_shape` reads, has one piece per
+    ROW_BLOCK-row block. Otherwise a piece has ``piece`` =
+    ``_piece_rows(width)`` rows, width being that of the widest per-row
+    buffer the piece fills (its normals, its uniforms, or a reducer's
+    (piece, r) work block), so 256 rows for a full-rank state at n = 128
+    and ROW_BLOCK rows at rank r <= 16 unless the uniforms are wider. The
+    piece size is a power of two that divides ROW_BLOCK, so a piece lies
+    inside one block, and it depends only on the state, never on
+    ``start`` or ``count``.
 
     Row k owns Philox blocks k*b..k*b+b-1, b = ceil(2n/4). When the
     blocks that hold the support columns are at most ``_COUNTER_SHARE``
@@ -364,7 +395,7 @@ class _NormalStream:
     row is a whole number of blocks, so these are the words a generator
     advanced afresh to each piece would give.
 
-    z is a view of one buffer of ``rows`` = min(count, ROW_BLOCK) rows,
+    z is a view of one buffer of ``rows`` = min(count, piece) rows,
     which the next piece overwrites: ``ndtri`` runs faster on contiguous
     rows than on padded ones, so the support columns are clipped into it.
     The uniforms are drawn into a second buffer of as many rows, or
@@ -374,7 +405,7 @@ class _NormalStream:
     place.
     """
 
-    def __init__(self, rho: GaussianState, seed, count, start=0):
+    def __init__(self, rho: GaussianState, seed, count, start=0, shaped=True):
         self.seed, self.count, self.start = (
             _integer(name, value) for name, value in (("seed", seed), ("count", count), ("start", start))
         )
@@ -382,11 +413,13 @@ class _NormalStream:
             raise ValueError("count and start must be nonnegative")
         if not 0 <= self.seed < 1 << 128:  # numpy's Philox key
             raise ValueError("seed must be in [0, 2**128)")
-        self.rows = min(self.count, ROW_BLOCK)
         dim, rank = 2 * rho.n, len(rho._factor)
         low = dim - rank
         self._blocks, first = (dim + 3) // 4, low // 4
         self._by_counter = self._blocks - first <= _COUNTER_SHARE * self._blocks
+        uniforms = 4 * (self._blocks - first if self._by_counter else self._blocks)
+        self.piece = ROW_BLOCK if shaped else _piece_rows(max(rank, uniforms))
+        self.rows = min(self.count, self.piece)
         self._normals = np.empty((self.rows, rank))
         self.block = self._normals if self.rows == ROW_BLOCK else None
         if self._by_counter:
@@ -403,9 +436,9 @@ class _NormalStream:
         if not self._by_counter:
             gen = np.random.Generator(np.random.Philox(key=self.seed))
             gen.bit_generator.advance(self.start * self._blocks)
-        stop = self.start + self.count
-        for row in range(self.start - self.start % ROW_BLOCK, stop, ROW_BLOCK):
-            a, b = max(self.start, row), min(stop, row + ROW_BLOCK)
+        stop, piece = self.start + self.count, self.piece
+        for row in range(self.start - self.start % piece, stop, piece):
+            a, b = max(self.start, row), min(stop, row + piece)
             at = slice(a - row, b - row) if self.block is not None else slice(0, b - a)
             if self._by_counter:
                 words = _philox_blocks(self.seed, a * self._blocks, self._offsets[: b - a])

@@ -44,20 +44,22 @@ _HESSIAN_STEP = 1e-4  # finite-difference step of a black box's hessian_at_zero
 _SCREEN_PROBES = 64  # random points per screen_variable check
 
 
-def _quadratic_forms(pts: np.ndarray, a: np.ndarray, work=None) -> np.ndarray:
+def _quadratic_forms(pts: np.ndarray, a: np.ndarray, work=None, out=None) -> np.ndarray:
     """Row-wise (A psi, psi) over a (..., 2n) batch, in ROW_BLOCK blocks.
 
     Each block's A psi is written to the leading rows of one reused
-    block: ``work``, of at least min(rows, ROW_BLOCK) rows, when given."""
+    block: ``work``, of at least min(rows, ROW_BLOCK) rows, when given.
+    The forms go to ``out``, one entry per row, when given."""
     # not reshape(-1, 0), which numpy rejects for a rank-0 state's (m, 0) normals
     flat = pts.reshape(math.prod(pts.shape[:-1]), pts.shape[-1])
     if work is None:
         work = np.empty((min(flat.shape[0], ROW_BLOCK), a.shape[1]))
-    out = np.empty(flat.shape[0])
+    if out is None:
+        out = np.empty(flat.shape[0])
     for start in range(0, flat.shape[0], ROW_BLOCK):
         blk = flat[start : start + ROW_BLOCK]
         image = np.matmul(blk, a, out=work[: blk.shape[0]])
-        out[start : start + ROW_BLOCK] = np.einsum("ij,ij->i", image, blk)
+        np.einsum("ij,ij->i", image, blk, out=out[start : start + ROW_BLOCK])
     return out.reshape(pts.shape[:-1])
 
 

@@ -351,25 +351,32 @@ def _rekeyed_reduce(variables, rho, seed, count):
 
 def _stream_cases():
     """(state, Philox path): full rank at n = 8, full rank at n = 1 (two
-    of a row's four words used), a pure state at n = 128 and rank 0 at
-    n = 2."""
+    of a row's four words used), a pure state at n = 128, rank 0 at
+    n = 2, and two states whose structured reductions read pieces
+    smaller than a chunk: full rank at n = 64 (r = 128) and the
+    isotropic state at n = 128 (r = 256)."""
     rng = np.random.default_rng(43)
     psi = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     return [
         (from_complex_covariance(ComplexOperator(y @ y.conj().T / 8)), "generator"),
         (GaussianState.isotropic(1, 0.7), "generator"),
         (pure_state_measure(psi / np.linalg.norm(psi), 0.5), "counter"),
         (GaussianState.isotropic(2, 0.0), "counter"),
+        (from_complex_covariance(ComplexOperator(x @ x.conj().T / 64)), "generator"),
+        (GaussianState.isotropic(128, 0.02), "generator"),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(6))
 def test_reduce_matches_a_stream_rekeyed_at_every_chunk(monkeypatch, case):
     from pcsft import bridge
 
     rho, path = _stream_cases()[case]
-    assert len(rho._factor) == (16, 2, 2, 0)[case]
+    assert len(rho._factor) == (16, 2, 2, 0, 128, 256)[case]
+    piece = gaussian._NormalStream(rho, 77, ROW_BLOCK, shaped=False).piece
+    assert piece == (ROW_BLOCK, ROW_BLOCK, ROW_BLOCK, ROW_BLOCK, 512, 256)[case]
     f = ClassicalVariable.polynomial(_psd_operator(np.random.default_rng(case), rho.n), [0.5, 0.25])
     box = ClassicalVariable.from_callbacks(f.values, n=f.n)
     count = 2 * ROW_BLOCK + 17  # two whole chunks and a partial one
@@ -382,9 +389,10 @@ def test_reduce_matches_a_stream_rekeyed_at_every_chunk(monkeypatch, case):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counted)
-    estimates = bridge._reduce([f, box], rho, 77, count)
-    assert [tuple(e) for e in estimates] == expected
-    assert keyed == ([77] if path == "generator" else [])
+    # a black box reads whole chunks; structured variables alone read pieces
+    assert [tuple(e) for e in bridge._reduce([f, box], rho, 77, count)] == expected
+    assert [tuple(e) for e in bridge._reduce([f], rho, 77, count)] == expected[:1]
+    assert keyed == ([77, 77] if path == "generator" else [])
 
 
 def test_classical_average_holds_the_stream_buffers_and_columns():
@@ -406,6 +414,43 @@ def test_classical_average_holds_the_stream_buffers_and_columns():
     # the normals buffer and the work block, plus a few chunk-long columns
     # (forms, terms, values and their spreads), never a third block
     assert peak <= 2 * block_bytes + 16 * ROW_BLOCK * 8
+
+
+def test_classical_average_at_full_rank_holds_cache_sized_pieces():
+    # full rank at n = 128: a 4096-row buffer would be 8 MiB, a 256-row
+    # piece of normals or of G z is 512 KiB, as large as G itself
+    rng = np.random.default_rng(25)
+    y = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    rho = from_complex_covariance(ComplexOperator(y @ y.conj().T / 128))
+    f = ClassicalVariable.polynomial(_psd_operator(rng, 128), [0.5, 0.5])
+    count = 2 * ROW_BLOCK + 17
+    piece_bytes = 512 * 1024
+    classical_average(f, rho, seed=1, count=2)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        classical_average(f, rho, seed=1, count=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the normals piece, the work piece and G, plus a few chunk-long columns
+    assert peak <= 3 * piece_bytes + 16 * ROW_BLOCK * 8
+
+
+def test_reduce_rejects_a_variable_of_another_dimension_before_drawing(monkeypatch):
+    from pcsft import bridge
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream was drawn before the dimensions were checked")
+
+    monkeypatch.setattr(bridge, "_NormalStream", refuse)
+    rho = GaussianState.isotropic(3, 1.0)
+    f = ClassicalVariable.quadratic(BlockOperator(np.eye(4)))
+    box = ClassicalVariable.from_callbacks(f.values, n=2)
+    for v in (f, box):
+        with pytest.raises(ValueError, match=r"n = 2.*n = 3"):
+            classical_average(v, rho, seed=1, count=100)
+    with pytest.raises(ValueError, match=r"n = 2.*n = 3"):
+        bridge._reduce([ClassicalVariable.quadratic(BlockOperator(np.eye(6))), f], rho, 1, 100)
 
 
 def test_quantum_average_basics():

@@ -338,6 +338,22 @@ def test_integrator_diverges_with_huge_step():
         integrate(q_squared_p(), PhaseVector([1.0], [1.0]), 20.0, 10.0)
 
 
+def test_integrate_rejects_non_finite_times():
+    h = QuadraticHamiltonian(BlockOperator(np.eye(2)))
+    psi0 = PhaseVector([1.0], [0.0])
+    for t_final, dt, name in [
+        (1.0, float("nan"), "dt"),
+        (1.0, 0.0, "dt"),
+        (float("nan"), 0.1, "t_final"),
+        (float("inf"), 0.1, "t_final"),
+        (-float("inf"), 0.1, "t_final"),
+        (0.0, 0.1, "t_final"),
+        (1e300, 1e-10, "t_final / dt"),  # finite, but too many steps to count
+    ]:
+        with pytest.raises(ValueError, match=name):
+            integrate(h, psi0, t_final, dt)
+
+
 def test_callback_hamiltonian_rejects_batch_of_wrong_width():
     # q^2 p lives on n = 1: a 4-wide batch must not be read through its
     # first two columns, nor integrated by broadcasting a 2-wide J grad H

@@ -66,6 +66,9 @@ def test_isotropic_state_basics():
     assert is_j_invariant(rho)
     with pytest.raises(ValueError, match="nonnegative"):
         GaussianState.isotropic(3, -1.0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            GaussianState.isotropic(n, 1.0)
 
 
 def test_validation_rejects_bad_covariances():
