@@ -7,13 +7,10 @@ from .symplectic import (
     ComplexOperator,
     PhaseVector,
     complex_to_real,
-    hermitian_product,
     is_j_commuting,
     j_commutation_defect,
     j_matrix,
-    poisson_bracket,
     real_to_complex,
-    symplectic_form,
 )
 from .gaussian import (
     DensityOperator,
@@ -46,7 +43,6 @@ from .bridge import (
     MonteCarloEstimate,
     alpha_scan,
     amplify,
-    check_linearity,
     classical_average,
     project_state,
     project_variable,

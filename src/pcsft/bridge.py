@@ -48,6 +48,7 @@ raises ``TypeError`` rather than being truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -76,7 +77,6 @@ __all__ = [
     "classical_average",
     "quantum_average",
     "von_neumann_evolve",
-    "check_linearity",
     "alpha_scan",
 ]
 
@@ -106,18 +106,18 @@ def project_state(rho: GaussianState, alpha: Optional[float] = None) -> DensityO
     return DensityOperator(complex_covariance(rho).matrix / disp)
 
 
-def project_variable(f: ClassicalVariable, validate: bool = True) -> ComplexOperator:
+def project_variable(f: ClassicalVariable) -> ComplexOperator:
     """Operator image of a projectable variable: complex form of half the
     Hessian at the origin.
 
     Structured variables are in the projectable class by construction.
     Black boxes are screened on random probes (vanishing at the origin,
-    evenness, J-invariance) when ``validate`` is true; screening is
-    evidence, not proof, and a failed predicate raises ValueError. In
-    all cases the Hessian (symmetric by :meth:`hessian_at_zero`) must
-    commute with J within ``FD_TOL`` relative to its largest entry.
+    evenness, J-invariance); screening is evidence, not proof, and a
+    failed predicate raises ValueError. In all cases the Hessian
+    (symmetric by :meth:`hessian_at_zero`) must commute with J within
+    ``FD_TOL`` relative to its largest entry.
     """
-    if validate and not f.is_structured:
+    if not f.is_structured:
         verdicts = screen_variable(f)
         failed = sorted(name for name, check in verdicts.items() if not check)
         if failed:
@@ -134,8 +134,8 @@ def amplify(f: ClassicalVariable, alpha: float) -> ClassicalVariable:
     dispersion alpha are the quantities that converge to quantum
     averages as alpha -> 0.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0 or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return f.scaled(1.0 / alpha)
 
 
@@ -253,25 +253,6 @@ def von_neumann_evolve(d: DensityOperator, m: ComplexOperator, t: float) -> Dens
     return d._conjugated(schrodinger_flow(m, t).matrix)
 
 
-def check_linearity(
-    variables: Sequence[ClassicalVariable], weights: Sequence[float]
-) -> CheckResult:
-    """Spectral-norm defect of T(sum w_i f_i) - sum w_i T(f_i), checked
-    against ``FD_TOL`` relative to the norm of the sum."""
-    if len(variables) != len(weights) or not variables:
-        raise ValueError("need equally many variables and weights, at least one")
-    combo = variables[0].scaled(float(weights[0]))
-    for f, w in zip(variables[1:], weights[1:]):
-        combo = combo + f.scaled(float(w))
-    left = project_variable(combo, validate=False).matrix
-    right = sum(
-        w * project_variable(f, validate=False).matrix
-        for f, w in zip(variables, weights)
-    )
-    defect = float(np.linalg.norm(left - right, 2))
-    return CheckResult.within(defect, float(np.linalg.norm(right, 2)), FD_TOL)
-
-
 # ---------------------------------------------------------------------------
 # Dispersion scan
 # ---------------------------------------------------------------------------
@@ -340,8 +321,10 @@ def alpha_scan(
     errors; fewer than two such points leave the slope as NaN.
     """
     alphas = tuple(float(a) for a in alphas)
-    if any(a <= 0 for a in alphas) or not alphas:
-        raise ValueError("alphas must be a nonempty sequence of positive numbers")
+    if not alphas or not all(a > 0 and math.isfinite(a) for a in alphas):
+        raise ValueError(
+            f"alphas must be a nonempty sequence of positive finite numbers, got {alphas}"
+        )
     base = dispersion(shape)
     if base <= 0:
         raise ValueError("shape state must have positive dispersion")

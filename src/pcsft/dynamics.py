@@ -17,7 +17,7 @@ previous states. Either solver takes all rows of a batch at once.
 
 Every Hamiltonian is a :class:`pcsft.variables.ClassicalVariable`, so
 ``values`` / ``gradients`` act on (..., 2n) batches of flattened phase
-points and ``gradient`` on a single :class:`PhaseVector` point.
+points.
 ``QuadraticHamiltonian`` is the energy form of a symmetric kernel:
 structured when the kernel commutes with J, a black box with exact
 callbacks otherwise. ``NonquadraticHamiltonian`` is the subclass

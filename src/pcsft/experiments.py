@@ -770,8 +770,12 @@ def validate_config(payload: dict) -> dict:
             )
         if isinstance(default, list) and not value:  # every list default is nonempty
             raise ConfigError(f"parameter {key!r} must not be an empty list")
+        entries = value if isinstance(value, list) else [value]
+        # JSON's Infinity and NaN parse as floats
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"parameter {key!r} must be finite, got {value!r}")
         in_range, what = _RANGES.get(key, (None, ""))
-        if in_range and not all(map(in_range, value if isinstance(value, list) else [value])):
+        if in_range and not all(map(in_range, entries)):
             raise ConfigError(f"parameter {key!r} must be {what}, got {value!r}")
         params[key] = float(value) if isinstance(default, float) else value
     return {"experiment": name, "seed": seed, "out_dir": out_dir, "params": params}

@@ -61,12 +61,16 @@ class FieldGrid:
     def __post_init__(self):
         if self.n_points < 2:
             raise ValueError("need at least two grid points")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not self.dx > 0 or not math.isfinite(self.dx):
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
     @classmethod
     def centered(cls, n_points: int, length: float) -> "FieldGrid":
         """Grid of given total length with points symmetric about 0."""
+        if not length > 0 or not math.isfinite(length):
+            raise ValueError(f"length must be positive and finite, got {length}")
         dx = length / n_points
         return cls(n_points, dx, x0=-(n_points - 1) * dx / 2.0)
 
@@ -153,8 +157,8 @@ class KernelOperator:
     @classmethod
     def mass(cls, grid: FieldGrid, mass: float) -> "KernelOperator":
         """Kinetic kernel -Laplacian / (2 mass)."""
-        if mass <= 0:
-            raise ValueError("mass must be positive")
+        if not mass > 0 or not math.isfinite(mass):
+            raise ValueError(f"mass must be positive and finite, got {mass}")
         return cls(grid, -laplacian_matrix(grid) / (2.0 * mass))
 
     @classmethod
@@ -193,8 +197,8 @@ def gaussian_packet(
     grid: FieldGrid, center: float, width: float, k0: float = 0.0
 ) -> FieldState:
     """L2-normalised Gaussian bump exp(-(x-c)^2 / (4 w^2)) e^{i k0 x}."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not width > 0 or not math.isfinite(width):
+        raise ValueError(f"width must be positive and finite, got {width}")
     envelope = np.exp(-((grid.x - center) ** 2) / (4.0 * width**2))
     values = envelope * np.exp(1j * k0 * grid.x)
     nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))

@@ -160,8 +160,8 @@ class GaussianState:
         gives for this covariance, and none when alpha = 0 (rank 0)."""
         if n < 1:
             raise ValueError("n must be at least 1")
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not alpha >= 0 or not math.isfinite(alpha):
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
         b = np.eye(2 * n) * (alpha / (2 * n))
         rank = 2 * n if alpha > 0 else 0
         return cls._factored(b, np.eye(rank, 2 * n) * math.sqrt(alpha / (2 * n)))
@@ -261,6 +261,8 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     sqrt(alpha/2) (e1; e2), so building, sampling and reducing the state
     take no ``eigh``.
     """
+    if not alpha > 0 or not math.isfinite(alpha):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     z = np.asarray(psi, dtype=complex)
     if z.ndim != 1 or z.size < 1:
         raise ValueError("psi must be a one-dimensional vector")
@@ -268,8 +270,6 @@ def pure_state_measure(psi, alpha: float) -> GaussianState:
     nrm = math.sqrt(float(u @ u + v @ v))
     if not CheckResult.within(abs(nrm - 1.0), 1.0):
         raise ValueError(f"psi must be normalised, got norm {nrm}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     e1 = np.concatenate([u, v])
     e2 = np.concatenate([-v, u])
     b = (alpha / 2.0) * (np.outer(e1, e1) + np.outer(e2, e2))

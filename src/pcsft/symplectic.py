@@ -11,10 +11,6 @@ complex n x n matrices which is implemented here by
 Conventions fixed by this module and relied on everywhere else:
 
 * ``j_matrix(n) @ (q, p) == (p, -q)``.
-* ``symplectic_form(psi1, psi2) == dot(p2, q1) - dot(p1, q2)``.
-* ``hermitian_product`` is linear in the first slot and conjugate
-  linear in the second, so it equals ``sum(z1 * conj(z2))`` for the
-  complex coordinates.
 * A J-commuting block matrix [[D, S], [-S, D]] maps to M = D - iS.
 """
 
@@ -34,11 +30,8 @@ __all__ = [
     "j_matrix",
     "j_commutation_defect",
     "is_j_commuting",
-    "symplectic_form",
-    "hermitian_product",
     "real_to_complex",
     "complex_to_real",
-    "poisson_bracket",
 ]
 
 # Every structural check in the package goes through CheckResult.within,
@@ -107,10 +100,6 @@ class PhaseVector:
             raise ValueError("phase vector entries must be finite")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.q.size
 
     @classmethod
     def from_flat(cls, flat) -> "PhaseVector":
@@ -269,29 +258,6 @@ def is_j_commuting(a: BlockOperator, tol: float = DEFAULT_TOL) -> CheckResult:
     return CheckResult.within(j_commutation_defect(a), float(np.max(np.abs(a.matrix))), tol)
 
 
-def symplectic_form(psi1: PhaseVector, psi2: PhaseVector) -> float:
-    """Canonical symplectic form w(psi1, psi2) = (psi1, J psi2).
-
-    In coordinates this is dot(p2, q1) - dot(p1, q2); it is antisymmetric
-    and vanishes on the diagonal.
-    """
-    if psi1.n != psi2.n:
-        raise ValueError("dimension mismatch between phase vectors")
-    return float(psi2.p @ psi1.q - psi1.p @ psi2.q)
-
-
-def hermitian_product(psi1: PhaseVector, psi2: PhaseVector) -> complex:
-    """Hermitian pairing (psi1, psi2) - i * w(psi1, psi2).
-
-    Equals sum_j z1_j * conj(z2_j) for the complex coordinates, hence is
-    linear in the first argument and conjugate linear in the second.
-    """
-    if psi1.n != psi2.n:
-        raise ValueError("dimension mismatch between phase vectors")
-    real_part = float(psi1.q @ psi2.q + psi1.p @ psi2.p)
-    return complex(real_part, -symplectic_form(psi1, psi2))
-
-
 def real_to_complex(a: BlockOperator, tol: float = DEFAULT_TOL) -> ComplexOperator:
     """Complex image M = A11 - i*A12 of a J-commuting block operator.
 
@@ -311,15 +277,3 @@ def complex_to_real(m: ComplexOperator) -> BlockOperator:
     d = m.matrix.real
     s = -m.matrix.imag
     return BlockOperator.from_pair(d, s)
-
-
-def poisson_bracket(f1, f2, psi: PhaseVector) -> float:
-    """Poisson bracket {f1, f2}(psi) = (grad f1, J grad f2).
-
-    ``f1`` and ``f2`` must expose ``gradient(psi) -> PhaseVector``. In
-    (q, p) blocks the bracket reads
-    dot(df1/dq, df2/dp) - dot(df2/dq, df1/dp).
-    """
-    g1 = f1.gradient(psi)
-    g2 = f2.gradient(psi)
-    return float(g1.q @ g2.p - g2.q @ g1.p)

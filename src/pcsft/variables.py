@@ -33,7 +33,6 @@ from .symplectic import (
     FD_TOL,
     BlockOperator,
     CheckResult,
-    PhaseVector,
     _j_flat,
     is_j_commuting,
 )
@@ -185,9 +184,6 @@ class ClassicalVariable:
             raise ValueError("gradient unavailable: black-box variable without callback")
         return np.asarray(self._gradient_fn(pts), dtype=float)
 
-    def gradient(self, psi: PhaseVector) -> PhaseVector:
-        return PhaseVector.from_flat(self.gradients(psi.flat()[None, :])[0])
-
     # -- calculus at the origin ----------------------------------------
 
     def hessian_at_zero(self) -> BlockOperator:
@@ -246,23 +242,6 @@ class ClassicalVariable:
             if grad_fn is None
             else (lambda pts: factor * np.asarray(grad_fn(pts), dtype=float)),
             n=self._n,
-        )
-
-    def __add__(self, other: "ClassicalVariable") -> "ClassicalVariable":
-        if not isinstance(other, ClassicalVariable):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch between variables")
-        if self._terms is not None and other._terms is not None:
-            return ClassicalVariable(terms=self._terms + other._terms)
-        left, right = self, other
-        grad = None
-        if left.has_gradient and right.has_gradient:
-            grad = lambda pts: left.gradients(pts) + right.gradients(pts)
-        return ClassicalVariable(
-            value_fn=lambda pts: left.values(pts) + right.values(pts),
-            gradient_fn=grad,
-            n=self.n,
         )
 
     # -- helpers ---------------------------------------------------------

@@ -219,7 +219,7 @@ def test_quadratic_hamiltonian_is_a_variable():
         project_variable(off)
     psi = PhaseVector([1.0], [-2.0])
     assert float(off.values(psi.flat())) == pytest.approx(8.5)
-    np.testing.assert_allclose(off.gradient(psi).flat(), [1.0, -8.0])
+    np.testing.assert_allclose(off.gradients(psi.flat()[None])[0], [1.0, -8.0])
 
 
 def test_linear_flow_keeps_no_state():
@@ -298,7 +298,7 @@ def test_energy_conservation():
     # error that shrinks ~4x per halving
     a1 = BlockOperator.from_pair([[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]])
     a2 = BlockOperator.from_pair([[1.0, 0.5], [0.5, -1.0]], [[0.0, 0.7], [-0.7, 0.0]])
-    hq = ClassicalVariable.quadratic(a1) + ClassicalVariable.polynomial(a2, [0.0, 0.25])
+    hq = ClassicalVariable(terms=[QuadraticTerm(0.5, a1, 1), QuadraticTerm(0.25, a2, 2)])
     psi0 = PhaseVector([1.1, -0.2], [0.3, 0.6])
     drifts = []
     for dt in (0.02, 0.01):
@@ -374,8 +374,8 @@ def _quartic_pair():
     # operators (equal operators built separately stay two): both are
     # integrated by fixed-point sweeps over their gradients
     quartic = NonquadraticHamiltonian.polynomial(BlockOperator(np.eye(2)), [0.0, 1.0])
-    halves = [ClassicalVariable.polynomial(BlockOperator(np.eye(2)), [0.0, 0.5]) for _ in range(2)]
-    return quartic, [_black_box(quartic), halves[0] + halves[1]]
+    halves = [QuadraticTerm(0.5, BlockOperator(np.eye(2)), 2) for _ in range(2)]
+    return quartic, [_black_box(quartic), ClassicalVariable(terms=halves)]
 
 
 def _midpoint_residual(h, traj):
@@ -511,9 +511,16 @@ def _two_operator_variables():
     a2 = BlockOperator.from_pair([[0.4, -0.1], [-0.1, 1.2]], [[0.0, -0.2], [0.2, 0.0]])
     return [
         # both operators nonlinear, powers 1 to 3
-        ClassicalVariable.polynomial(a1, [0.5, 0.0, 0.2]) + ClassicalVariable.polynomial(a2, [0.3, -0.1]),
+        ClassicalVariable(
+            terms=[
+                QuadraticTerm(0.5, a1, 1),
+                QuadraticTerm(0.2, a1, 3),
+                QuadraticTerm(0.3, a2, 1),
+                QuadraticTerm(-0.1, a2, 2),
+            ]
+        ),
         # one operator nonlinear, the other linear
-        ClassicalVariable.polynomial(a1, [0.0, 0.0, 0.2]) + ClassicalVariable.quadratic(a2),
+        ClassicalVariable(terms=[QuadraticTerm(0.2, a1, 3), QuadraticTerm(0.5, a2, 1)]),
     ]
 
 

@@ -365,10 +365,19 @@ class TestCli:
             ("oddness-audit", "alpha", 0.0),
             ("field-spectrum", "mass", 0.0),
             ("schrodinger-equivalence", "trials", 0),
+            # non-finite numbers, which JSON writes as Infinity and NaN
+            ("field-spectrum", "length", float("inf")),
+            ("field-correspondence", "alpha", float("inf")),
+            ("alpha-scan", "alphas", [float("inf")]),
+            ("dispersion-preservation", "times", [float("inf")]),
+            ("norm-audit", "dt", float("inf")),
+            ("heisenberg-check", "time", float("nan")),
+            ("field-spectrum", "spring", -float("inf")),
         ]:
             cfg = self._write(tmp_path, {"experiment": name, "seed": 3, key: value})
             assert main(["run", cfg]) == 2, (name, key, value)
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err, (name, key, value)
 
     def test_run_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

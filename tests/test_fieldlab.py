@@ -56,6 +56,21 @@ def test_centered_grid_is_symmetric():
         FieldGrid(8, -0.1)
 
 
+def test_non_finite_arguments_are_named_before_any_arithmetic():
+    g = periodic_grid(8)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="dx must be positive and finite"):
+            FieldGrid(8, bad)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            FieldGrid(8, 1.0, x0=bad)
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            FieldGrid.centered(8, bad)
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            KernelOperator.mass(g, bad)
+        with pytest.raises(ValueError, match="width must be positive and finite"):
+            gaussian_packet(g, 0.0, bad)
+
+
 def test_field_state_norm_and_embedding():
     g = periodic_grid()
     psi = plane_wave(g, 0.0, amplitude=2.0)

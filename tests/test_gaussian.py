@@ -64,8 +64,9 @@ def test_isotropic_state_basics():
     assert rho.n == 3
     assert dispersion(rho) == pytest.approx(0.6, abs=1e-14)
     assert is_j_invariant(rho)
-    with pytest.raises(ValueError, match="nonnegative"):
-        GaussianState.isotropic(3, -1.0)
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+            GaussianState.isotropic(2, alpha)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be at least 1"):
             GaussianState.isotropic(n, 1.0)
@@ -188,8 +189,9 @@ def test_pure_state_measure_structure():
 def test_pure_state_requires_normalisation():
     with pytest.raises(ValueError):
         pure_state_measure(np.array([1.0 + 0j, 1.0]), 0.1)
-    with pytest.raises(ValueError):
-        pure_state_measure(np.array([1.0 + 0j]), -0.1)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            pure_state_measure(np.array([1.0 + 0j]), alpha)
     with pytest.raises(ValueError, match="one-dimensional"):
         pure_state_measure(np.array([[1.0 + 0j]]), 0.1)
 

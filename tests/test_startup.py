@@ -10,8 +10,11 @@ loaded.
 
 ``pcsft/__init__.py`` re-exports exactly the ``__all__`` entries of its
 modules, so a name deleted from a module cannot be left behind in either.
+Every one of those names must be read by the library, ``perfbench/`` or
+the acceptance gate, so none is public for its own unit tests alone.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -91,3 +94,40 @@ def test_every_public_name_resolves_and_is_reexported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == declared - NOT_REEXPORTED
+
+
+def _reads(path: Path) -> set:
+    """Names a file reads as ast Name or Attribute loads (docstrings and
+    imports do not count), leaving out each top-level definition's
+    references to its own name."""
+    reads = set()
+    for statement in ast.parse(path.read_text()).body:
+        own = set()
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = {statement.name}
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            own = {t.id for t in targets if isinstance(t, ast.Name)}
+        found = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        reads |= found - own
+    return reads
+
+
+def test_every_public_name_has_a_reader():
+    # a public name is read by the library, the benchmark or the
+    # acceptance gate, not by its own unit tests alone
+    package = Path(pcsft.__file__).resolve().parent
+    root = package.parent.parent
+    readers = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readers += sorted((root / "perfbench").glob("*.py"))
+    readers.append(root / "tests" / "test_acceptance.py")
+    read = set().union(*(_reads(p) for p in readers))
+    unread = []
+    for info in pkgutil.iter_modules(pcsft.__path__):
+        module = importlib.import_module(f"pcsft.{info.name}")
+        unread += [f"pcsft.{info.name}.{name}" for name in getattr(module, "__all__", ()) if name not in read]
+    assert not unread, f"public names with no reader: {unread}"

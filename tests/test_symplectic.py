@@ -1,16 +1,10 @@
-"""Tests for the phase-space algebra: J, the symplectic form, the
-hermitian product and the real/complex operator dictionary.
-
-Oracle note: expected values for the pairing tests are computed through
-plain complex arithmetic on z = q + ip, which is an independent route
-from the real block formulas under test.
-"""
+"""Tests for the phase-space algebra: phase vectors, J, the real/complex
+operator dictionary and the scale-relative structural checks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from pcsft.gaussian import GaussianState
 from pcsft.symplectic import (
@@ -19,44 +13,18 @@ from pcsft.symplectic import (
     PhaseVector,
     _j_flat,
     complex_to_real,
-    hermitian_product,
     is_j_commuting,
     j_commutation_defect,
     j_matrix,
-    poisson_bracket,
     real_to_complex,
-    symplectic_form,
 )
 from pcsft.variables import QuadraticTerm
-
-finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-
-
-def vec_strategy(n):
-    return arrays(np.float64, (n,), elements=finite_floats)
 
 
 def random_j_commuting(rng, n):
     d = rng.standard_normal((n, n))
     s = rng.standard_normal((n, n))
     return BlockOperator.from_pair(d, s)
-
-
-class QuadraticForm:
-    """f(psi) = 0.5 * (A psi, psi) with analytic gradient A psi (A symmetric).
-
-    Local oracle helper; deliberately independent of the variables module.
-    """
-
-    def __init__(self, a: BlockOperator):
-        self.a = a
-
-    def value(self, psi: PhaseVector) -> float:
-        y = psi.flat()
-        return 0.5 * float(y @ self.a.matrix @ y)
-
-    def gradient(self, psi: PhaseVector) -> PhaseVector:
-        return PhaseVector.from_flat(self.a.matrix @ psi.flat())
 
 
 # ---------------------------------------------------------------------------
@@ -174,60 +142,6 @@ def test_j_commutation_defect_matches_dense_commutator():
 
 
 # ---------------------------------------------------------------------------
-# Symplectic form and hermitian product
-# ---------------------------------------------------------------------------
-
-
-def test_symplectic_form_frozen_example():
-    # w(psi1, psi2) = p2.q1 - p1.q2 ; for psi1 = (1,0), psi2 = (0,1): w = 1.
-    psi1 = PhaseVector([1.0], [0.0])
-    psi2 = PhaseVector([0.0], [1.0])
-    assert symplectic_form(psi1, psi2) == pytest.approx(1.0)
-    assert hermitian_product(psi1, psi2) == pytest.approx(-1j)
-
-
-@given(vec_strategy(3), vec_strategy(3), vec_strategy(3), vec_strategy(3))
-@settings(max_examples=60, deadline=None)
-def test_symplectic_form_antisymmetry(q1, p1, q2, p2):
-    psi1 = PhaseVector(q1, p1)
-    psi2 = PhaseVector(q2, p2)
-    scale = 1.0 + abs(symplectic_form(psi1, psi2))
-    assert abs(symplectic_form(psi1, psi2) + symplectic_form(psi2, psi1)) <= 1e-12 * scale
-    assert symplectic_form(psi1, psi1) == 0.0
-
-
-@given(vec_strategy(2), vec_strategy(2), vec_strategy(2), vec_strategy(2))
-@settings(max_examples=60, deadline=None)
-def test_hermitian_product_equals_complex_dot(q1, p1, q2, p2):
-    psi1 = PhaseVector(q1, p1)
-    psi2 = PhaseVector(q2, p2)
-    oracle = np.sum((q1 + 1j * p1) * np.conj(q2 + 1j * p2))
-    got = hermitian_product(psi1, psi2)
-    np.testing.assert_allclose(got, oracle, atol=1e-10 * (1.0 + abs(oracle)))
-    # conjugate symmetry and real diagonal
-    np.testing.assert_allclose(
-        hermitian_product(psi2, psi1), np.conj(got), atol=1e-10 * (1.0 + abs(got))
-    )
-    diag = hermitian_product(psi1, psi1)
-    assert diag.imag == 0.0
-    assert diag.real == pytest.approx(float(psi1.flat() @ psi1.flat()))
-
-
-def test_symplectic_form_via_j():
-    # w(psi1, psi2) = (psi1, J psi2) with the Euclidean dot product.
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        psi1 = PhaseVector.from_flat(rng.standard_normal(6))
-        psi2 = PhaseVector.from_flat(rng.standard_normal(6))
-        oracle = float(psi1.flat() @ j_matrix(3) @ psi2.flat())
-        assert symplectic_form(psi1, psi2) == pytest.approx(oracle, abs=1e-12)
-    with pytest.raises(ValueError):
-        symplectic_form(PhaseVector([1.0], [0.0]), PhaseVector([1.0, 0.0], [0.0, 0.0]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        hermitian_product(PhaseVector([1.0], [0.0]), PhaseVector([1.0, 0.0], [0.0, 0.0]))
-
-
-# ---------------------------------------------------------------------------
 # Real/complex operator dictionary
 # ---------------------------------------------------------------------------
 
@@ -317,47 +231,6 @@ def test_block_operator_accessors():
         BlockOperator.from_pair([1.0], [2.0])
     with pytest.raises(ValueError, match="dimension mismatch"):
         a @ BlockOperator(np.eye(4))
-
-
-# ---------------------------------------------------------------------------
-# Poisson bracket
-# ---------------------------------------------------------------------------
-
-
-def test_poisson_bracket_of_quadratic_forms():
-    # For f_A = 0.5 (A psi, psi): {f_A, f_B}(psi) = w(A psi, B psi).
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        a = BlockOperator(_random_symmetric(rng, 2))
-        b = BlockOperator(_random_symmetric(rng, 2))
-        psi = PhaseVector.from_flat(rng.standard_normal(4))
-        got = poisson_bracket(QuadraticForm(a), QuadraticForm(b), psi)
-        a_psi = PhaseVector.from_flat(a.matrix @ psi.flat())
-        b_psi = PhaseVector.from_flat(b.matrix @ psi.flat())
-        oracle = symplectic_form(a_psi, b_psi)
-        assert got == pytest.approx(oracle, abs=1e-10 * (1.0 + abs(oracle)))
-
-
-def test_poisson_bracket_canonical_pair():
-    # f = q_0, g = p_0 have constant gradients e_q and e_p: {q_0, p_0} = 1.
-    class Linear:
-        def __init__(self, grad):
-            self._g = grad
-
-        def gradient(self, psi):
-            return self._g
-
-    n = 2
-    e_q = PhaseVector([1.0, 0.0], [0.0, 0.0])
-    e_p = PhaseVector([0.0, 0.0], [1.0, 0.0])
-    psi = PhaseVector.from_flat(np.arange(4.0) + 1.0)
-    assert poisson_bracket(Linear(e_q), Linear(e_p), psi) == pytest.approx(1.0)
-    assert poisson_bracket(Linear(e_p), Linear(e_q), psi) == pytest.approx(-1.0)
-
-
-def _random_symmetric(rng, n):
-    x = rng.standard_normal((2 * n, 2 * n))
-    return (x + x.T) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,14 @@ def interleaved_variable(rng, n):
     """A, B, A terms, with power 2 on A twice: operators shared out of order."""
     a = random_admissible_operator(rng, n)
     b = random_admissible_operator(rng, n)
-    return (
-        ClassicalVariable.polynomial(a, [0.5, -0.3, 0.02])
-        + ClassicalVariable.quadratic(b)
-        + ClassicalVariable.polynomial(a, [0.0, 0.1])
+    return ClassicalVariable(
+        terms=[
+            QuadraticTerm(0.5, a, 1),
+            QuadraticTerm(-0.3, a, 2),
+            QuadraticTerm(0.02, a, 3),
+            QuadraticTerm(0.5, b, 1),
+            QuadraticTerm(0.1, a, 2),
+        ]
     )
 
 
@@ -37,8 +41,7 @@ def test_quadratic_value_and_gradient():
     f = ClassicalVariable.quadratic(a)  # 0.5 * |psi|^2
     psi = PhaseVector([3.0], [4.0])
     assert float(f.values(psi.flat())) == pytest.approx(12.5)
-    g = f.gradient(psi)
-    np.testing.assert_allclose(g.flat(), psi.flat())
+    np.testing.assert_allclose(f.gradients(psi.flat()[None])[0], psi.flat())
 
 
 def test_polynomial_frozen_point():
@@ -47,7 +50,7 @@ def test_polynomial_frozen_point():
     f = ClassicalVariable.polynomial(identity_op(1), [0.5, 0.5])
     psi = PhaseVector([1.0], [1.0])
     assert float(f.values(psi.flat())) == pytest.approx(3.0)
-    np.testing.assert_allclose(f.gradient(psi).flat(), [5.0, 5.0])
+    np.testing.assert_allclose(f.gradients(psi.flat()[None])[0], [5.0, 5.0])
 
 
 def test_batch_values_match_single_evaluation():
@@ -60,7 +63,7 @@ def test_batch_values_match_single_evaluation():
     for k in range(0, 40, 7):
         psi = PhaseVector.from_flat(pts[k])
         assert vals[k] == pytest.approx(float(f.values(psi.flat())), rel=1e-12)
-        np.testing.assert_allclose(grads[k], f.gradient(psi).flat(), rtol=1e-12)
+        np.testing.assert_allclose(grads[k], f.gradients(psi.flat()[None])[0], rtol=1e-12)
     # blocked forms against a direct per-row reference, across row blocks
     big = rng.standard_normal((2, 2500, 4))
     form = np.einsum("...i,ij,...j->...", big, a.matrix, big)
@@ -192,26 +195,18 @@ def test_algebra_scaling_and_sum():
     b = random_admissible_operator(rng, 2)
     f = ClassicalVariable.quadratic(a)
     g = ClassicalVariable.polynomial(b, [0.0, 1.0])
-    both = f + g.scaled(2.0)
+    # a sum of structured variables is the variable of their joint terms
+    both = ClassicalVariable(terms=f.terms + g.scaled(2.0).terms)
     pts = rng.standard_normal((10, 4))
     np.testing.assert_allclose(both.values(pts), f.values(pts) + 2.0 * g.values(pts),
                                rtol=1e-12)
     np.testing.assert_allclose(
         both.gradients(pts), f.gradients(pts) + 2.0 * g.gradients(pts), rtol=1e-12
     )
-    # mixed structured + black box stays evaluable
-    bb = ClassicalVariable.from_callbacks(f.values, f.gradients, n=2)
-    mixed = bb + g
-    np.testing.assert_allclose(mixed.values(pts), f.values(pts) + g.values(pts),
-                               rtol=1e-12)
     # a scaled black box without a gradient stays without one
     values_only = ClassicalVariable.from_callbacks(f.values, n=2).scaled(0.5)
     assert not values_only.has_gradient
     np.testing.assert_array_equal(values_only.values(pts), 0.5 * f.values(pts))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        f + ClassicalVariable.quadratic(identity_op(1))
-    with pytest.raises(TypeError):
-        f + 1
 
 
 def test_constructor_validation():
