@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ._csvio import write_csv
+from .gaussian import ROW_BLOCK
 from .symplectic import (
     BlockOperator,
     CheckResult,
@@ -169,6 +170,8 @@ def linear_flow(h: QuadraticHamiltonian, t: float, method: str = "auto") -> Bloc
     The two explicit methods are genuinely independent code paths, which
     the equivalence checks exploit: "expm" calls no eigensolver.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if method not in ("auto", "spectral", "expm"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
@@ -237,6 +240,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def schrodinger_flow(m: ComplexOperator, t: float) -> ComplexOperator:
     """Unitary exp(-iMt) of a hermitian complex operator."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     check = m.is_hermitian()
     if not check:
         raise ValueError(f"operator must be hermitian (defect {check.defect:.3e})")
@@ -259,7 +264,14 @@ class Trajectory:
     initial point, or (steps+1, m, 2n) for a batch. ``sweeps[k]`` is the
     number of fixed-point sweeps step k took, as filled by
     :func:`integrate`, and 0 for a Hamiltonian of one operator, whose
-    steps are solved in closed form."""
+    steps are solved in closed form.
+
+    On the sweep path ``states`` is an array. On the closed-form path it
+    is a read-only sequence that stores the first and final states,
+    ``states[0]`` and ``states[-1]``, and replays any other index, slice
+    or ``np.asarray(states)`` from the eigen-coordinates with the bits
+    the solver computed. It has ``shape``, ``ndim`` and ``len``; wrap it
+    in ``np.asarray`` for any other array operation."""
 
     times: np.ndarray
     states: np.ndarray
@@ -276,7 +288,8 @@ class Trajectory:
         """
         if self.states.ndim == 3:
             raise ValueError("CSV export is defined for single trajectories only")
-        n = self.states.shape[1] // 2
+        states = np.asarray(self.states)
+        n = states.shape[1] // 2
         header = (
             ["t"]
             + [f"q_{i}" for i in range(n)]
@@ -284,10 +297,69 @@ class Trajectory:
             + ["energy", "norm"]
         )
         rows = (
-            [self.times[k], *self.states[k], self.energies[k], self.norms[k]]
+            [self.times[k], *states[k], self.energies[k], self.norms[k]]
             for k in range(len(self.times))
         )
         write_csv(path, header, rows)
+
+
+class _ClosedFormStates:
+    """The states of a closed-form trajectory, without storing them.
+
+    State 0 is the initial rows and state k >= 1 is
+    ``(z_hat * phases**k) @ basis``, the phases applied k times in place
+    and the interleaved (Re, Im) view multiplied by one matmul, exactly as
+    :func:`_eigenbasis_solve` stepped. The first and final states are
+    kept; any other is replayed by the same operations on arrays of the
+    same shapes, so it has the bits the solver computed.
+    """
+
+    def __init__(self, shape, first, last, z_hat, phases, basis):
+        self.shape = shape
+        for state in (first, last):
+            state.flags.writeable = False
+        self._first, self._last = first, last
+        self._z_hat, self._phases, self._basis = z_hat, phases, basis
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def _state(self, k: int) -> np.ndarray:
+        if k == 0:
+            state = self._first
+        elif k == len(self) - 1:
+            state = self._last
+        else:
+            z = self._z_hat.copy()
+            for _ in range(k):
+                z *= self._phases
+            state = np.matmul(z.view(float), self._basis, out=np.empty_like(self._first))
+        return state.reshape(self.shape[1:])
+
+    def __getitem__(self, key):
+        head, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
+        if isinstance(head, (int, np.integer)) and not isinstance(head, bool):
+            k = int(head)
+            if not -len(self) <= k < len(self):
+                raise IndexError(f"state {k} out of range for {len(self)} states")
+            return self._state(k % len(self))[rest]
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("closed-form states are replayed, so a copy is needed")
+        out = np.empty((len(self),) + self._first.shape)
+        out[0] = self._first
+        z = self._z_hat.copy()
+        for k in range(1, len(self)):
+            z *= self._phases
+            np.matmul(z.view(float), self._basis, out=out[k])
+        out = out.reshape(self.shape)
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
@@ -311,6 +383,12 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     by :func:`_eigenbasis_solve`: in the eigenbasis of A's complex image
     every step is the same Cayley rotation of each row, found once by a
     scalar Newton iteration per row, and ``Trajectory.sweeps`` reads 0.
+    That path stores no trajectory of states: ``Trajectory.states`` keeps
+    the first and final states, ``states[0]`` and ``states[-1]``, and
+    replays any other from the eigen-coordinates with the same bits. The
+    energies and norms are computed over the same ROW_BLOCK blocks of
+    states as ``h.values`` over the stored array, so they keep its bits
+    too. On the sweep path ``states`` is the stored array.
 
     Any other ``h`` is solved by fixed-point sweeps over its
     ``gradients`` callback, to which ``pcsft.symplectic._j_flat`` applies
@@ -350,23 +428,21 @@ def integrate(h, psi0, t_final: float, dt: float) -> Trajectory:
     step_dt = t_final / steps
 
     rows = y.reshape(-1, y.shape[-1])
-    states = np.empty((steps + 1,) + rows.shape)
-    states[0] = rows
+    shape = (steps + 1,) + (y.shape[1:] if squeeze else y.shape)
     sweeps = np.zeros(steps, dtype=int)
     if isinstance(h, ClassicalVariable) and h.is_structured and len(h._operators) == 1:
-        _eigenbasis_solve(h, step_dt, states)
+        states, forms, norms = _eigenbasis_solve(h, step_dt, rows, steps, shape)
+        energies = h._from_forms([forms.reshape(shape[:-1])])
+        norms = norms.reshape(shape[:-1])
     else:
+        states = np.empty((steps + 1,) + rows.shape)
+        states[0] = rows
         _sweep_steps(h, step_dt, states, sweeps)
-
-    states = states.reshape((steps + 1,) + y.shape)
-    times = np.arange(steps + 1) * step_dt
-    energies = h.values(states)
-    norms = np.einsum("...i,...i->...", states, states)
+        states = states.reshape(shape)
+        energies = h.values(states)
+        norms = np.einsum("...i,...i->...", states, states)
     np.sqrt(norms, out=norms)
-    if squeeze:
-        states = states[:, 0, :]
-        energies = energies[:, 0]
-        norms = norms[:, 0]
+    times = np.arange(steps + 1) * step_dt
     return Trajectory(times, states, energies, norms, abs(step_dt), sweeps)
 
 
@@ -387,9 +463,10 @@ _PREDICTOR_WEIGHTS = tuple(
 )
 
 
-def _eigenbasis_solve(h, dt, states) -> None:
-    """Fill states[1:] with the midpoint steps of H = f((A psi, psi)) from
-    the rows of states[0], for the one operator A of a structured ``h``.
+def _eigenbasis_rotation(h, dt, rows):
+    """Eigen-coordinates, per-step phases and real basis of the midpoint
+    steps of H = f((A psi, psi)) from ``rows``, for the one operator A of a
+    structured ``h``.
 
     Let M = V diag(lam) V^H be the complex image of A and z_hat = V^H z a
     row's eigen-coordinates. Since grad H = 2 f'(s) A psi, the midpoint
@@ -403,7 +480,7 @@ def _eigenbasis_solve(h, dt, states) -> None:
     real matmul against ``basis``, the real form of V, which is
     orthogonal, so the view of (q, p) is (q, p) @ basis^T.
     """
-    h._check_batch(states[0])
+    h._check_batch(rows)
     n = h.n
     lam, v = np.linalg.eigh(real_to_complex(BlockOperator(h._operators[0])).matrix)
     basis = np.empty((2 * n, 2 * n))
@@ -412,14 +489,68 @@ def _eigenbasis_solve(h, dt, states) -> None:
     coeffs = {}  # {power: coefficient}
     for _, c, k in h._grouping:
         coeffs[k] = coeffs.get(k, 0.0) + c
-    z = np.empty((states.shape[1], n), dtype=complex)
+    z = np.empty((rows.shape[0], n), dtype=complex)
     with np.errstate(all="ignore"):  # a non-finite row is reported, not warned about
-        np.matmul(states[0], basis.T, out=z.view(float))
+        np.matmul(rows, basis.T, out=z.view(float))
         half = 0.5 * _newton_slopes(coeffs, dt, lam, np.abs(z) ** 2)[:, None] * lam
     phases = (1.0 - 1j * half) / (1.0 + 1j * half)
-    for k in range(1, len(states)):
-        z *= phases
-        np.matmul(z.view(float), basis, out=states[k])
+    return z, phases, basis
+
+
+def _eigenbasis_solve(h, dt, rows, steps, shape):
+    """The ``steps`` midpoint steps of H = f((A psi, psi)) from ``rows``,
+    without storing them: a :class:`_ClosedFormStates` of ``shape``, and
+    the forms (A psi, psi) and squared norms of all (steps+1)·m states,
+    flat and step-major.
+
+    Each step multiplies the eigen-coordinates of :func:`_eigenbasis_rotation`
+    by the phases in place and maps them by one matmul into a ROW_BLOCK-row
+    staging block over the flat rows: straight into its free rows when
+    the state fits, else into one reused state that is copied in piece by
+    piece. A full block (and the last) gets its forms and squared norms.
+    These are the blocks :meth:`ClassicalVariable.values` and the norm
+    einsum would read from the stored trajectory, so both keep its bits.
+    """
+    z, phases, basis = _eigenbasis_rotation(h, dt, rows)
+    a = h._operators[0]
+    m = rows.shape[0]
+    total = (steps + 1) * m
+    forms = np.empty(total)
+    norms = np.empty(total)
+    block = np.empty((min(total, ROW_BLOCK), rows.shape[1]))
+    work = np.empty_like(block)
+    first = rows.copy()
+    spare = np.empty_like(first)  # a state that does not fit in the block's free rows
+    z_hat = z.copy()
+    done = filled = 0
+    for k in range(steps + 1):
+        # a state that fits is written straight into the block
+        fits = m <= len(block) - filled
+        if k == 0:
+            state = first
+            if fits:
+                block[:m] = first
+        else:
+            z *= phases
+            state = np.matmul(z.view(float), basis, out=block[filled : filled + m] if fits else spare)
+        start = m if fits else 0
+        filled += start
+        while True:
+            if filled == len(block) or done + filled == total:
+                staged = block[:filled]
+                _quadratic_forms(staged, a, work, out=forms[done : done + filled])
+                np.einsum("ij,ij->i", staged, staged, out=norms[done : done + filled])
+                done += filled
+                filled = 0
+            if start == m:
+                break
+            take = min(m - start, len(block) - filled)
+            block[filled : filled + take] = state[start : start + take]
+            filled += take
+            start += take
+    if state.base is block:
+        state = state.copy()
+    return _ClosedFormStates(shape, first, state, z_hat, phases, basis), forms, norms
 
 
 def _newton_slopes(coeffs, dt, lam, weights) -> np.ndarray:

@@ -190,6 +190,10 @@ def hamiltonian_kernel(grid: FieldGrid, mass: float, v) -> KernelOperator:
 
 
 def plane_wave(grid: FieldGrid, k0: float, amplitude: float = 1.0) -> FieldState:
+    if not math.isfinite(k0):
+        raise ValueError(f"k0 must be finite, got {k0}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     return FieldState(grid, amplitude * np.exp(1j * k0 * grid.x))
 
 
@@ -199,6 +203,10 @@ def gaussian_packet(
     """L2-normalised Gaussian bump exp(-(x-c)^2 / (4 w^2)) e^{i k0 x}."""
     if not width > 0 or not math.isfinite(width):
         raise ValueError(f"width must be positive and finite, got {width}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not math.isfinite(k0):
+        raise ValueError(f"k0 must be finite, got {k0}")
     envelope = np.exp(-((grid.x - center) ** 2) / (4.0 * width**2))
     values = envelope * np.exp(1j * k0 * grid.x)
     nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.dx))
@@ -214,11 +222,15 @@ def _check_grid(r: KernelOperator, grid: FieldGrid) -> None:
 
 def free_field_evolve(psi0: FieldState, t: float) -> FieldState:
     """Unit-kernel evolution: a global phase rotation exp(-it)."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return FieldState(psi0.grid, psi0.values * np.exp(-1j * t))
 
 
 def interacting_evolve(psi0: FieldState, r: KernelOperator, t: float) -> FieldState:
     """Evolve by exp(-iRt) for a kernel R on the field's grid."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _check_grid(r, psi0.grid)
     u = _spectral_unitary(*r.eigensystem, t)
     return FieldState(psi0.grid, u @ psi0.values)

@@ -230,6 +230,8 @@ class ClassicalVariable:
     # -- algebra --------------------------------------------------------
 
     def scaled(self, factor: float) -> "ClassicalVariable":
+        if not math.isfinite(factor):
+            raise ValueError(f"factor must be finite, got {factor}")
         if self._terms is not None:
             return ClassicalVariable(
                 terms=[QuadraticTerm(factor * t.coefficient, t.operator, t.power) for t in self._terms]

@@ -470,6 +470,9 @@ def test_von_neumann_ode_and_purity():
     assert evolved.purity() == pytest.approx(d.purity(), abs=1e-10)
     with pytest.raises(ValueError, match="dimension mismatch"):
         von_neumann_evolve(d, ComplexOperator(np.eye(2)), 1.3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            von_neumann_evolve(d, m, bad)
 
 
 def test_von_neumann_evolve_runs_no_eigvalsh(monkeypatch):

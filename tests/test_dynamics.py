@@ -11,6 +11,8 @@ Oracles used here:
   (I - dt/2 JH)^{-1} (I + dt/2 JH).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,22 @@ def test_expm_flow_matches_scipy_expm(n):
         u = linear_flow(QuadraticHamiltonian(BlockOperator(np.eye(2))), t, method="expm")
         rotation = [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]
         np.testing.assert_allclose(u.matrix, rotation, rtol=0, atol=1e-13)
+
+
+def test_flows_reject_non_finite_times_by_name():
+    # each flow checks t before any arithmetic on it
+    h = QuadraticHamiltonian(BlockOperator(np.eye(2)))
+    m = ComplexOperator(np.eye(1))
+    for bad in (np.nan, np.inf, -np.inf):
+        calls = [
+            lambda: linear_flow(h, bad),
+            lambda: linear_flow(h, bad, method="expm"),
+            lambda: schrodinger_flow(m, bad),
+            lambda: heisenberg_evolve(h.operator, h, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be finite"):
+                call()
 
 
 def test_flow_is_symplectic_and_group():
@@ -570,12 +588,97 @@ def test_eigenbasis_solver_matches_the_sweeps(h):
     batch = 0.2 * np.random.default_rng(17).standard_normal((9, 6))
     closed = integrate(h, batch, 1.0, 0.02)
     swept = integrate(_black_box(h), batch, 1.0, 0.02)
-    assert np.max(np.abs(closed.states - swept.states)) <= 1e-11 * np.max(np.abs(swept.states))
+    assert np.max(np.abs(np.asarray(closed.states) - swept.states)) <= 1e-11 * np.max(np.abs(swept.states))
     np.testing.assert_array_equal(closed.sweeps, np.zeros(50, dtype=int))
     assert swept.sweeps.min() >= 1
     assert np.max(np.abs(closed.norms - closed.norms[0]) / closed.norms[0]) <= 1e-14
     with pytest.raises(ValueError, match=r"2n = 6, got 4"):
         integrate(h, np.zeros((2, 4)), 1.0, 0.02)
+
+
+def _flow_batch_hamiltonian(n=8):
+    # (A psi, psi)/2 + 0.1 (A psi, psi)^2 with a fixed, well-conditioned A
+    d = np.diag(np.linspace(0.5, 1.5, n)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    s = 0.25 * (np.eye(n, k=1) - np.eye(n, k=-1))
+    return ClassicalVariable.polynomial(BlockOperator.from_pair(d, s), [0.5, 0.1])
+
+
+def _stored_closed_form(h, psi0, t_final, dt):
+    """A closed-form trajectory's states, energies and norms computed with
+    every state stored: the full (steps+1, ..., 2n) array filled step by
+    step, then ``h.values`` and the norm einsum over all of it."""
+    y = np.asarray(psi0, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    steps = max(1, round(abs(t_final) / dt))
+    z, phases, basis = dynamics._eigenbasis_rotation(h, t_final / steps, rows)
+    states = np.empty((steps + 1,) + rows.shape)
+    states[0] = rows
+    for k in range(1, steps + 1):
+        z *= phases
+        np.matmul(z.view(float), basis, out=states[k])
+    states = states.reshape((steps + 1,) + y.shape)
+    norms = np.einsum("...i,...i->...", states, states)
+    return states, h.values(states), np.sqrt(norms)
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(31)
+    psi = rng.standard_normal(16)
+    psi *= 0.6 / np.linalg.norm(psi)
+    return {
+        # 6 x 3000 rows: every ROW_BLOCK block of forms but the last straddles two states
+        "straddling-batch": (0.5 * rng.standard_normal((3000, 16)), 0.05, 0.01),
+        # 4 x 2048 rows: each state is written straight into a block, two filling it
+        "dividing-batch": (0.5 * rng.standard_normal((2048, 16)), 0.03, 0.01),
+        # flow-batch's pair: 1501 states of two rows, all in one block
+        "pair": (np.stack([psi, -psi]), 15.0, 0.01),
+        "single": (psi, 2.0, 0.01),
+    }
+
+
+@pytest.mark.parametrize("case", list(_closed_form_cases()))
+def test_closed_form_states_replay_the_stored_bits(case, tmp_path):
+    # the closed-form path keeps the first and final states and replays
+    # any other from the eigen-coordinates; every state, energy and norm
+    # has the bits of the fully stored trajectory
+    h = _flow_batch_hamiltonian()
+    psi0, t_final, dt = _closed_form_cases()[case]
+    traj = integrate(h, psi0, t_final, dt)
+    states, energies, norms = _stored_closed_form(h, psi0, t_final, dt)
+    steps = len(states) - 1
+    assert traj.states.shape == states.shape and traj.states.ndim == states.ndim
+    assert len(traj.states) == steps + 1
+    keys = [0, 1, 2, steps // 2, steps - 1, steps, -1, -2, -steps - 1]
+    keys += [slice(1, 4), slice(None, None, 2), slice(None, -1), (slice(None), 1), (-1, 0), (3, 1)]
+    for key in keys:
+        got = traj.states[key]
+        assert got.shape == states[key].shape and got.tobytes() == states[key].tobytes(), key
+    assert np.asarray(traj.states).tobytes() == states.tobytes()
+    assert not traj.states[0].flags.writeable and not traj.states[-1].flags.writeable
+    with pytest.raises(IndexError):
+        traj.states[steps + 1]
+    assert traj.energies.tobytes() == energies.tobytes()
+    assert traj.norms.tobytes() == norms.tobytes()
+    if states.ndim == 2:
+        traj.to_csv(tmp_path / "replayed.csv")
+        Trajectory(traj.times, states, energies, norms, traj.dt).to_csv(tmp_path / "stored.csv")
+        assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "stored.csv").read_bytes()
+
+
+def test_closed_form_integration_stores_no_trajectory_of_states():
+    # flow-batch's batch: 10^4 rows, 30 steps, n = 8. Its 31 states would
+    # be 39.7 MB; the solver holds two states, the eigen-coordinates and
+    # phases, one ROW_BLOCK staging block, and the forms and norms
+    h = _flow_batch_hamiltonian()
+    batch = 0.5 * np.random.default_rng(32).standard_normal((10000, 16))
+    tracemalloc.start()
+    try:
+        traj = integrate(h, batch, 0.3, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (31, 10000, 16) and traj.energies.shape == (31, 10000)
+    assert peak <= 25e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_stiff_kernel_step_is_the_cayley_transform():
@@ -665,7 +768,7 @@ def test_multi_axis_batch_matches_flat_rows():
         grid = integrate(h, batch, 0.5, 0.05)
         rows = integrate(h, batch.reshape(6, 4), 0.5, 0.05)
         assert grid.states.shape == (11, 2, 3, 4) and grid.energies.shape == (11, 2, 3)
-        np.testing.assert_allclose(grid.states.reshape(11, 6, 4), rows.states, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.asarray(grid.states).reshape(11, 6, 4), rows.states, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(grid.sweeps, rows.sweeps)
 
 

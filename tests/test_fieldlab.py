@@ -69,6 +69,19 @@ def test_non_finite_arguments_are_named_before_any_arithmetic():
             KernelOperator.mass(g, bad)
         with pytest.raises(ValueError, match="width must be positive and finite"):
             gaussian_packet(g, 0.0, bad)
+        with pytest.raises(ValueError, match="center must be finite"):
+            gaussian_packet(g, bad, 1.0)
+        with pytest.raises(ValueError, match="k0 must be finite"):
+            gaussian_packet(g, 0.0, 1.0, k0=bad)
+        with pytest.raises(ValueError, match="k0 must be finite"):
+            plane_wave(g, bad)
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            plane_wave(g, 1.0, amplitude=bad)
+        psi = plane_wave(g, 1.0)
+        with pytest.raises(ValueError, match="t must be finite"):
+            free_field_evolve(psi, bad)
+        with pytest.raises(ValueError, match="t must be finite"):
+            interacting_evolve(psi, KernelOperator.mass(g, 1.0), bad)
 
 
 def test_field_state_norm_and_embedding():

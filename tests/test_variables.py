@@ -207,6 +207,11 @@ def test_algebra_scaling_and_sum():
     values_only = ClassicalVariable.from_callbacks(f.values, n=2).scaled(0.5)
     assert not values_only.has_gradient
     np.testing.assert_array_equal(values_only.values(pts), 0.5 * f.values(pts))
+    # a non-finite factor would give NaN values; it is named instead
+    for bad in (np.nan, np.inf, -np.inf):
+        for v in (f, values_only):
+            with pytest.raises(ValueError, match="factor must be finite"):
+                v.scaled(bad)
 
 
 def test_constructor_validation():
