@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -274,7 +274,7 @@ class Trajectory:
     in ``np.asarray`` for any other array operation."""
 
     times: np.ndarray
-    states: np.ndarray
+    states: Union[np.ndarray, _ClosedFormStates]
     energies: np.ndarray
     norms: np.ndarray
     dt: float
@@ -310,8 +310,9 @@ class _ClosedFormStates:
     ``(z_hat * phases**k) @ basis``, the phases applied k times in place
     and the interleaved (Re, Im) view multiplied by one matmul, exactly as
     :func:`_eigenbasis_solve` stepped. The first and final states are
-    kept; any other is replayed by the same operations on arrays of the
-    same shapes, so it has the bits the solver computed.
+    kept for the integer indices that name them; any other key reads the
+    whole array, replayed by the same operations on arrays of the same
+    shapes, so it has the bits the solver computed.
     """
 
     def __init__(self, shape, first, last, z_hat, phases, basis):
@@ -328,25 +329,12 @@ class _ClosedFormStates:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def _state(self, k: int) -> np.ndarray:
-        if k == 0:
-            state = self._first
-        elif k == len(self) - 1:
-            state = self._last
-        else:
-            z = self._z_hat.copy()
-            for _ in range(k):
-                z *= self._phases
-            state = np.matmul(z.view(float), self._basis, out=np.empty_like(self._first))
-        return state.reshape(self.shape[1:])
-
     def __getitem__(self, key):
-        head, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
-        if isinstance(head, (int, np.integer)) and not isinstance(head, bool):
-            k = int(head)
-            if not -len(self) <= k < len(self):
-                raise IndexError(f"state {k} out of range for {len(self)} states")
-            return self._state(k % len(self))[rest]
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
+            if key in (0, -len(self)):
+                return self._first.reshape(self.shape[1:])
+            if key in (-1, len(self) - 1):
+                return self._last.reshape(self.shape[1:])
         return np.asarray(self)[key]
 
     def __array__(self, dtype=None, copy=None):
@@ -504,10 +492,9 @@ def _eigenbasis_solve(h, dt, rows, steps, shape):
     flat and step-major.
 
     Each step multiplies the eigen-coordinates of :func:`_eigenbasis_rotation`
-    by the phases in place and maps them by one matmul into a ROW_BLOCK-row
-    staging block over the flat rows: straight into its free rows when
-    the state fits, else into one reused state that is copied in piece by
-    piece. A full block (and the last) gets its forms and squared norms.
+    by the phases in place and maps them by one matmul into one reused
+    state, which is copied into a ROW_BLOCK-row staging block over the
+    flat rows. A full block (and the last) gets its forms and squared norms.
     These are the blocks :meth:`ClassicalVariable.values` and the norm
     einsum would read from the stored trajectory, so both keep its bits.
     """
@@ -520,37 +507,27 @@ def _eigenbasis_solve(h, dt, rows, steps, shape):
     block = np.empty((min(total, ROW_BLOCK), rows.shape[1]))
     work = np.empty_like(block)
     first = rows.copy()
-    spare = np.empty_like(first)  # a state that does not fit in the block's free rows
+    last = np.empty_like(first)  # the state of the current step
     z_hat = z.copy()
     done = filled = 0
     for k in range(steps + 1):
-        # a state that fits is written straight into the block
-        fits = m <= len(block) - filled
-        if k == 0:
-            state = first
-            if fits:
-                block[:m] = first
-        else:
+        if k:
             z *= phases
-            state = np.matmul(z.view(float), basis, out=block[filled : filled + m] if fits else spare)
-        start = m if fits else 0
-        filled += start
-        while True:
+            np.matmul(z.view(float), basis, out=last)
+        state = last if k else first
+        start = 0
+        while start < m:
+            take = min(m - start, len(block) - filled)
+            block[filled : filled + take] = state[start : start + take]
+            filled += take
+            start += take
             if filled == len(block) or done + filled == total:
                 staged = block[:filled]
                 _quadratic_forms(staged, a, work, out=forms[done : done + filled])
                 np.einsum("ij,ij->i", staged, staged, out=norms[done : done + filled])
                 done += filled
                 filled = 0
-            if start == m:
-                break
-            take = min(m - start, len(block) - filled)
-            block[filled : filled + take] = state[start : start + take]
-            filled += take
-            start += take
-    if state.base is block:
-        state = state.copy()
-    return _ClosedFormStates(shape, first, state, z_hat, phases, basis), forms, norms
+    return _ClosedFormStates(shape, first, last, z_hat, phases, basis), forms, norms
 
 
 def _newton_slopes(coeffs, dt, lam, weights) -> np.ndarray:

@@ -628,7 +628,7 @@ def _closed_form_cases():
     return {
         # 6 x 3000 rows: every ROW_BLOCK block of forms but the last straddles two states
         "straddling-batch": (0.5 * rng.standard_normal((3000, 16)), 0.05, 0.01),
-        # 4 x 2048 rows: each state is written straight into a block, two filling it
+        # 4 x 2048 rows: two whole states fill each block exactly
         "dividing-batch": (0.5 * rng.standard_normal((2048, 16)), 0.03, 0.01),
         # flow-batch's pair: 1501 states of two rows, all in one block
         "pair": (np.stack([psi, -psi]), 15.0, 0.01),
